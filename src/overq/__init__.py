@@ -20,16 +20,8 @@ from .arith import (
 from .checks import (
     SeriesBank,
     all_check_ids,
-    check_conjecture_40,
-    check_families,
-    check_final_step_thm1,
-    check_id_4n3,
-    check_mod8_criterion,
-    check_thm_main,
-    check_thm_mod9,
     coverage_manifest,
     iter_check_reports,
-    replay_proof_steps,
     run_checks,
 )
 from .reporting import Budget, CheckReport, summary_counts

@@ -1,12 +1,13 @@
 """Congruence sweeps: one checker per statement, machine-readable reports.
 
 Every checker derives its grid deterministically from a Budget, reads shared
-base series out of a SeriesBank, and returns a CheckReport whose status is
-derived strictly from what was tested: fail iff counterexamples were found,
-skipped iff the budget left nothing to test.  Grid points whose smallest
-instance exceeds the budget are recorded in skipped_points with that minimal
-argument, so coverage accounting stays honest for the prime-power families
-whose first direct instances sit far beyond any series truncation.
+base series out of a SeriesBank, and feeds each grid point to a Tally.  The
+runner turns the tally into a CheckReport whose status is derived strictly
+from what was tested: fail iff counterexamples were found, skipped iff the
+budget left nothing to test.  Grid points whose smallest instance exceeds the
+budget are recorded in skipped_points with that minimal argument, so coverage
+accounting stays honest for the prime-power families whose first direct
+instances sit far beyond any series truncation.
 
 For those out-of-reach families the sweeps fall back to the quantity that
 drives them: the r3 / r5 divisibilities are evaluated through the prime-power
@@ -16,29 +17,14 @@ produces the overpartition statements in the first place.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable, Iterator
 
 from .arith import is_square, is_twice_square, primes_up_to
-from .reporting import (
-    STATUS_FAIL,
-    Budget,
-    CheckReport,
-    finalize_report,
-    summary_counts,
-)
+from .reporting import STATUS_FAIL, Budget, CheckReport, finalize_report, summary_counts
 from .series import EXACT, RingSpec, TruncatedSeries, mod_ring
-from .squares import (
-    r3_recursion,
-    r4_formula,
-    r5_recursion,
-    r8_formula,
-    rk_bruteforce,
-    rk_series,
-)
+from .squares import r3_recursion, r4_formula, r5_recursion, r8_formula, rk_bruteforce, rk_series
 from .theta import euler_product, overpartition_gf, p4n3_product_form, phi
 
 _MAX_RECORDED_COUNTEREXAMPLES = 100
@@ -47,20 +33,18 @@ _MAX_RECORDED_COUNTEREXAMPLES = 100
 class SeriesBank:
     """Memoized construction of the shared base series for one budget.
 
-    Thread-safe; the runner warms the expensive entries sequentially before
-    fanning checkers out, after which every access is a cache hit.
+    Each series is built by the first checker that asks for it and shared by
+    every later one.
     """
 
     def __init__(self, budget: Budget) -> None:
         self.budget = budget
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def _get(self, key, build):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @staticmethod
     def _ring(modulus: int | None) -> RingSpec:
@@ -83,17 +67,82 @@ class SeriesBank:
         return self._get(("p4n3", order), lambda: p4n3_product_form(order))
 
 
-def _ms(t0: float) -> int:
-    return int((perf_counter() - t0) * 1000)
+def _coefficient(k: int) -> dict:
+    return {"coefficient": k}
 
 
-def _ce(args: dict, observed: dict, expected: str) -> dict:
-    return {"args": args, "observed": observed, "expected": expected}
+class Tally:
+    """What one sweep saw: points tested, counterexamples, skipped points.
+
+    Only the first 100 counterexamples are recorded, with observed values as
+    decimal strings.  skip_reason explains a sweep that tested nothing; None
+    lets the report say "no grid points within budget".
+    """
+
+    def __init__(self, skip_reason: str | None = None) -> None:
+        self.tested = 0
+        self.counterexamples: list[dict] = []
+        self.skipped_points: list[dict] = []
+        self.skip_reason = skip_reason
+
+    def record(self, args: dict, observed: dict, relation: str) -> None:
+        """Add a counterexample without counting a tested point."""
+        if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:
+            observed = {name: str(value) for name, value in observed.items()}
+            self.counterexamples.append({"args": args, "observed": observed, "expected": relation})
+
+    def expect(self, holds: bool, args: dict, observed: dict, relation: str) -> None:
+        """Count one tested point; it is a counterexample unless the relation holds."""
+        self.tested += 1
+        if not holds:
+            self.record(args, observed, relation)
+
+    def series(
+        self,
+        lhs: TruncatedSeries,
+        rhs: TruncatedSeries,
+        relation: str,
+        names: tuple[str, str] = ("lhs", "rhs"),
+        args: Callable[[int], dict] = _coefficient,
+    ) -> int:
+        """Compare coefficient-wise through the shorter order, which is returned."""
+        through = min(lhs.order, rhs.order)
+        for k in range(through + 1):
+            if lhs.coeffs[k] != rhs.coeffs[k]:
+                self.record(args(k), {names[0]: lhs.coeffs[k], names[1]: rhs.coeffs[k]}, relation)
+        self.tested += through + 1
+        return through
+
+    def skip(self, minimal_argument: int, **point) -> None:
+        """Note a grid point whose smallest instance exceeds the budget."""
+        self.skipped_points.append({**point, "minimal_argument": str(minimal_argument)})
 
 
-def _record(ces: list, args: dict, observed: dict, expected: str) -> None:
-    if len(ces) < _MAX_RECORDED_COUNTEREXAMPLES:
-        ces.append(_ce(args, observed, expected))
+# A checker sweeps its grid into the tally and returns (parameters, range_tested).
+Sweep = tuple[dict, tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class CheckDef:
+    """One registered sweep; skip_reason explains a run that tested nothing."""
+
+    check_id: str
+    statement: str
+    fn: Callable[[Budget, SeriesBank, Tally], Sweep]
+    skip_reason: str | None = None
+
+
+_CHECKS: list[CheckDef] = []
+
+
+def _check(check_id: str, statement: str, skip_reason: str | None = None):
+    """Register the decorated checker; registration order is report order."""
+
+    def register(fn):
+        _CHECKS.append(CheckDef(check_id, statement, fn, skip_reason))
+        return fn
+
+    return register
 
 
 def _signed(value: int, n: int, m: int) -> int:
@@ -111,79 +160,9 @@ def _odd_primes(limit: int) -> list[int]:
     return [p for p in primes_up_to(limit) if p >= 3]
 
 
-# ---------------------------------------------------------------------------
-# Checkers
-# ---------------------------------------------------------------------------
-
-
-def _check_thm_main(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(5n) == (-1)^n r3(n) (mod 5), swept over 1 <= n <= M // 5."""
-    t0 = perf_counter()
-    hi = budget.max_argument // 5
-    ces: list[dict] = []
-    tested = 0
-    if hi >= 1:
-        gf5 = bank.overpartition(5)
-        r3 = bank.rk(3, 5)
-        for n in range(1, hi + 1):
-            left = gf5.coeffs[5 * n]
-            right = _signed(r3.coeffs[n], n, 5)
-            tested += 1
-            if left != right:
-                _record(
-                    ces,
-                    {"n": n},
-                    {"pbar_5n_mod_5": str(left), "signed_r3_mod_5": str(right)},
-                    "pbar(5n) == (-1)^n r3(n) (mod 5)",
-                )
-    return finalize_report(
-        "thm-main",
-        {"modulus": 5, "max_argument": budget.max_argument},
-        (1, max(hi, 0)),
-        ces,
-        tested,
-        _ms(t0),
-        skip_reason="needs max_argument >= 5",
-    )
-
-
-def _check_thm_mod9(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(3n) == (-1)^n r5(n) (mod 9), plus the weaker mod-3 form."""
-    t0 = perf_counter()
-    hi = budget.max_argument // 3
-    ces: list[dict] = []
-    tested = 0
-    if hi >= 1:
-        gf9 = bank.overpartition(9)
-        r5 = bank.rk(5, 9)
-        for n in range(1, hi + 1):
-            left = gf9.coeffs[3 * n]
-            right = _signed(r5.coeffs[n], n, 9)
-            tested += 1
-            if left != right:
-                _record(
-                    ces,
-                    {"n": n, "modulus": 9},
-                    {"pbar_3n_mod_9": str(left), "signed_r5_mod_9": str(right)},
-                    "pbar(3n) == (-1)^n r5(n) (mod 9)",
-                )
-            # mod-3 subset: same comparison pushed down to residues mod 3
-            if left % 3 != right % 3:
-                _record(
-                    ces,
-                    {"n": n, "modulus": 3},
-                    {"pbar_3n_mod_3": str(left % 3), "signed_r5_mod_3": str(right % 3)},
-                    "pbar(3n) == (-1)^n r5(n) (mod 3)",
-                )
-    return finalize_report(
-        "thm-mod9",
-        {"modulus": 9, "subset_modulus": 3, "max_argument": budget.max_argument},
-        (1, max(hi, 0)),
-        ces,
-        tested,
-        _ms(t0),
-        skip_reason="needs max_argument >= 3",
-    )
+def _coprime_to(d: int, limit: int) -> list[int]:
+    """1 <= n <= limit with d not dividing n."""
+    return [n for n in range(1, limit + 1) if n % d != 0]
 
 
 def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
@@ -191,21 +170,72 @@ def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
     out = []
     alpha = 0
     while 4**alpha * 35 <= max_argument:
-        base = 4**alpha
-        n = 0
-        while base * (40 * n + 35) <= max_argument:
-            out.append((alpha, n, base * (40 * n + 35)))
-            n += 1
+        for n in range((max_argument // 4**alpha - 35) // 40 + 1):
+            out.append((alpha, n, 4**alpha * (40 * n + 35)))
         alpha += 1
     return out
 
 
-def _check_conj40(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(4^a (40n+35)) == 0 (mod 40), with CRT consistency mod 8 x mod 5."""
-    t0 = perf_counter()
+# ---------------------------------------------------------------------------
+# Checkers
+# ---------------------------------------------------------------------------
+
+
+@_check("thm-main", "pbar(5n) == (-1)^n r3(n) (mod 5) for n >= 1", "needs max_argument >= 5")
+def _check_thm_main(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+    hi = budget.max_argument // 5
+    if hi >= 1:
+        gf5 = bank.overpartition(5)
+        r3 = bank.rk(3, 5)
+        for n in range(1, hi + 1):
+            left = gf5.coeffs[5 * n]
+            right = _signed(r3.coeffs[n], n, 5)
+            t.expect(
+                left == right,
+                {"n": n},
+                {"pbar_5n_mod_5": left, "signed_r3_mod_5": right},
+                "pbar(5n) == (-1)^n r3(n) (mod 5)",
+            )
+    return {"modulus": 5, "max_argument": budget.max_argument}, (1, max(hi, 0))
+
+
+@_check(
+    "thm-mod9",
+    "pbar(3n) == (-1)^n r5(n) (mod 9) for n >= 1, plus the weaker mod-3 form",
+    "needs max_argument >= 3",
+)
+def _check_thm_mod9(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+    hi = budget.max_argument // 3
+    if hi >= 1:
+        gf9 = bank.overpartition(9)
+        r5 = bank.rk(5, 9)
+        for n in range(1, hi + 1):
+            left = gf9.coeffs[3 * n]
+            right = _signed(r5.coeffs[n], n, 9)
+            t.expect(
+                left == right,
+                {"n": n, "modulus": 9},
+                {"pbar_3n_mod_9": left, "signed_r5_mod_9": right},
+                "pbar(3n) == (-1)^n r5(n) (mod 9)",
+            )
+            # mod-3 subset: same comparison pushed down to residues mod 3
+            if left % 3 != right % 3:
+                t.record(
+                    {"n": n, "modulus": 3},
+                    {"pbar_3n_mod_3": left % 3, "signed_r5_mod_3": right % 3},
+                    "pbar(3n) == (-1)^n r5(n) (mod 3)",
+                )
+    parameters = {"modulus": 9, "subset_modulus": 3, "max_argument": budget.max_argument}
+    return parameters, (1, max(hi, 0))
+
+
+@_check(
+    "conj-40",
+    "pbar(4^a (40n+35)) == 0 (mod 40), cross-checked against the mod-8 x mod-5 CRT recombination",
+    "needs max_argument >= 35",
+)
+def _check_conj40(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     instances = _qualifying_40n35(budget.max_argument)
-    ces: list[dict] = []
-    tested = 0
     if instances:
         gf40 = bank.overpartition(40)
         gf8 = bank.overpartition(8)
@@ -214,891 +244,450 @@ def _check_conj40(budget: Budget, bank: SeriesBank) -> CheckReport:
             v40 = gf40.coeffs[arg]
             v8 = gf8.coeffs[arg]
             v5 = gf5.coeffs[arg]
-            tested += 1
             consistent = v40 % 8 == v8 and v40 % 5 == v5 and _crt(v8, 8, v5, 5) == v40
-            if v40 != 0 or not consistent:
-                _record(
-                    ces,
-                    {"alpha": alpha, "n": n, "argument": arg},
-                    {"mod_40": str(v40), "mod_8": str(v8), "mod_5": str(v5)},
-                    "pbar == 0 (mod 40) and the three residue routes agree",
-                )
-    alpha_max = max((a for a, _, _ in instances), default=-1)
-    return finalize_report(
-        "conj-40",
-        {
-            "modulus": 40,
-            "max_argument": budget.max_argument,
-            "instances": len(instances),
-            "alpha_max": alpha_max,
-        },
-        (35, max((arg for _, _, arg in instances), default=0)),
-        ces,
-        tested,
-        _ms(t0),
-        skip_reason="needs max_argument >= 35",
-    )
+            t.expect(
+                v40 == 0 and consistent,
+                {"alpha": alpha, "n": n, "argument": arg},
+                {"mod_40": v40, "mod_8": v8, "mod_5": v5},
+                "pbar == 0 (mod 40) and the three residue routes agree",
+            )
+    parameters = {
+        "modulus": 40,
+        "max_argument": budget.max_argument,
+        "instances": len(instances),
+        "alpha_max": max((a for a, _, _ in instances), default=-1),
+    }
+    return parameters, (35, max((arg for _, _, arg in instances), default=0))
 
 
-def _check_mod8(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(n) == 0 (mod 8) whenever n is neither a square nor twice a square."""
-    t0 = perf_counter()
+@_check("mod8-criterion", "pbar(n) == 0 (mod 8) whenever n is neither a square nor twice a square")
+def _check_mod8(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     gf8 = bank.overpartition(8)
-    ces: list[dict] = []
-    tested = 0
     for n in range(1, M + 1):
         if is_square(n) or is_twice_square(n):
             continue
-        tested += 1
         v = gf8.coeffs[n]
-        if v != 0:
-            _record(ces, {"n": n}, {"pbar_mod_8": str(v)}, "pbar(n) == 0 (mod 8)")
-    return finalize_report(
-        "mod8-criterion",
-        {"modulus": 8, "max_argument": M},
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-    )
+        t.expect(v == 0, {"n": n}, {"pbar_mod_8": v}, "pbar(n) == 0 (mod 8)")
+    return {"modulus": 8, "max_argument": M}, (1, M)
 
 
-def _check_id_4n3(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """Exact equality of the extracted 4n+3 subsequence with its product form."""
-    t0 = perf_counter()
+@_check(
+    "id-4n3",
+    "sum_n pbar(4n+3) q^n == 8 (q^2;q^2)(q^4;q^4)^6 / (q;q)^8, exact term-by-term",
+    "needs max_argument >= 3",
+)
+def _check_id_4n3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     if M < 3:
-        return finalize_report(
-            "id-4n3", {"max_argument": M}, (0, 0), [], 0, _ms(t0), skip_reason="needs max_argument >= 3"
-        )
+        return {"max_argument": M}, (0, 0)
     lhs = bank.overpartition(None).extract_progression(4, 3)
-    rhs = bank.p4n3(lhs.order)
-    ces: list[dict] = []
-    for j in range(lhs.order + 1):
-        if lhs.coeffs[j] != rhs.coeffs[j]:
-            _record(
-                ces,
-                {"term": j, "argument": 4 * j + 3},
-                {"pbar_4n3": str(lhs.coeffs[j]), "product_form": str(rhs.coeffs[j])},
-                "exact term-by-term equality",
-            )
-    return finalize_report(
-        "id-4n3",
-        {"terms": lhs.order + 1, "max_argument": M},
-        (0, lhs.order),
-        ces,
-        lhs.order + 1,
-        _ms(t0),
+    t.series(
+        lhs,
+        bank.p4n3(lhs.order),
+        "exact term-by-term equality",
+        ("pbar_4n3", "product_form"),
+        lambda j: {"term": j, "argument": 4 * j + 3},
     )
+    return {"terms": lhs.order + 1, "max_argument": M}, (0, lhs.order)
 
 
-def _check_fam_5power(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(5^(2a+1) (5n+1)) == pbar(5^(2a+1) (5n+4)) == 0 (mod 5), a >= 1."""
-    t0 = perf_counter()
+@_check(
+    "fam-5power",
+    "pbar(5^(2a+1)(5n+1)) == pbar(5^(2a+1)(5n+4)) == 0 (mod 5) for a >= 1",
+    "smallest instance 125 exceeds max_argument",
+)
+def _check_fam_5power(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     gf5 = bank.overpartition(5) if M >= 125 else None
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for alpha in range(1, budget.max_alpha + 1):
         base = 5 ** (2 * alpha + 1)
         for r in (1, 4):
             if base * r > M:
-                skipped.append(
-                    {"alpha": alpha, "residue": r, "minimal_argument": str(base * r)}
-                )
+                t.skip(base * r, alpha=alpha, residue=r)
                 continue
-            n = 0
-            while base * (5 * n + r) <= M:
+            for n in range((M // base - r) // 5 + 1):
                 arg = base * (5 * n + r)
-                tested += 1
                 v = gf5.coeffs[arg]
-                if v != 0:
-                    _record(
-                        ces,
-                        {"alpha": alpha, "residue": r, "n": n, "argument": arg},
-                        {"pbar_mod_5": str(v)},
-                        "pbar(5^(2a+1)(5n+r)) == 0 (mod 5)",
-                    )
-                n += 1
-    return finalize_report(
-        "fam-5power",
-        {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha},
-        (125, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-        skip_reason="smallest instance 125 exceeds max_argument",
-    )
+                t.expect(
+                    v == 0,
+                    {"alpha": alpha, "residue": r, "n": n, "argument": arg},
+                    {"pbar_mod_5": v},
+                    "pbar(5^(2a+1)(5n+r)) == 0 (mod 5)",
+                )
+    return {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha}, (125, M)
 
 
-def _check_fam_5p3(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(5 p^3 n) == 0 (mod 5) for p == 4 (mod 5), gcd(n, p) = 1.
-
-    Direct instances start at 5 * 19^3 = 34295; beyond the budget they are
-    recorded as skipped and the driving divisibility r3(p^3 n) == 0 (mod 5) is
-    verified through the recursion r3(p^3 n) = (p+1) r3(pn) with in-budget
-    bases.
+@_check(
+    "fam-5p3",
+    "pbar(5 p^3 n) == 0 (mod 5) for primes p == 4 (mod 5), n coprime to p; "
+    "out-of-budget instances verified through r3(p^3 n) == (p+1) r3(pn) == 0 (mod 5)",
+)
+def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+    """Direct instances start at 5 * 19^3 = 34295; beyond the budget they are
+    recorded as skipped and the driving divisibility is verified through the
+    recursion with in-budget bases.
     """
-    t0 = perf_counter()
     M = budget.max_argument
+    parameters = {"modulus": 5, "max_argument": M, "max_prime": budget.max_prime}
     ps = [p for p in primes_up_to(budget.max_prime) if p % 5 == 4]
     if not ps:
-        return finalize_report(
-            "fam-5p3",
-            {"modulus": 5, "max_argument": M, "max_prime": budget.max_prime},
-            (0, 0),
-            [],
-            0,
-            _ms(t0),
-            skip_reason="no primes == 4 (mod 5) within max_prime",
-        )
+        t.skip_reason = "no primes == 4 (mod 5) within max_prime"
+        return parameters, (0, 0)
     r3x = bank.rk(3, None)
     gf5 = bank.overpartition(5)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for p in ps:
-        p3 = p**3
-        direct = 0
-        n = 1
-        while 5 * p3 * n <= M:
-            if n % p != 0:
-                direct += 1
-                tested += 1
-                v = gf5.coeffs[5 * p3 * n]
-                if v != 0:
-                    _record(
-                        ces,
-                        {"p": p, "n": n, "argument": 5 * p3 * n},
-                        {"pbar_mod_5": str(v)},
-                        "pbar(5 p^3 n) == 0 (mod 5)",
-                    )
-            n += 1
-        if direct == 0:
-            skipped.append({"p": p, "family": "direct", "minimal_argument": str(5 * p3)})
-        for n0 in range(1, M // p + 1):
-            if n0 % p == 0:
-                continue
+        step = 5 * p**3
+        for n in _coprime_to(p, M // step):
+            v = gf5.coeffs[step * n]
+            t.expect(
+                v == 0,
+                {"p": p, "n": n, "argument": step * n},
+                {"pbar_mod_5": v},
+                "pbar(5 p^3 n) == 0 (mod 5)",
+            )
+        if step > M:
+            t.skip(step, p=p, family="direct")
+        for n0 in _coprime_to(p, M // p):
             val = r3_recursion(p, 1, p * n0, {p * n0: r3x.coeffs[p * n0]})
-            tested += 1
-            if val % 5 != 0:
-                _record(
-                    ces,
-                    {"p": p, "n": n0, "argument_exponent": 3},
-                    {"r3_recursion_mod_5": str(val % 5)},
-                    "r3(p^3 n) == 0 (mod 5)",
-                )
-    return finalize_report(
-        "fam-5p3",
-        {"modulus": 5, "max_argument": M, "max_prime": budget.max_prime},
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+            t.expect(
+                val % 5 == 0,
+                {"p": p, "n": n0, "argument_exponent": 3},
+                {"r3_recursion_mod_5": val % 5},
+                "r3(p^3 n) == 0 (mod 5)",
+            )
+    return parameters, (1, M)
 
 
-def _check_fam_5p_high(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5), and
-    pbar(5 p^(8a+7) N) == 0 (mod 5) for p == 2,3,4 (mod 5), N coprime to p.
-
-    Direct instances (5 * 11^9 at the smallest) sit far beyond any series
+@_check(
+    "fam-5p-high",
+    "pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5); pbar(5 p^(8a+7) N) == 0 (mod 5) "
+    "for p == 2,3,4 (mod 5); N coprime to p; driven by the r3 recursion divisibility",
+)
+def _check_fam_5p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+    """Direct instances (5 * 11^9 at the smallest) sit far beyond any series
     budget and are recorded as skipped; the underlying divisibility
     r3(p^(2b+1) N) == 0 (mod 5) is verified through the recursion with
     in-budget bases r3(pN).
     """
-    t0 = perf_counter()
     M = budget.max_argument
     gf5 = bank.overpartition(5)
     r3x = bank.rk(3, None)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for p in _odd_primes(budget.max_prime):
         if p == 5:
             continue
         for alpha in range(budget.max_alpha + 1):
             e = 10 * alpha + 9 if p % 5 == 1 else 8 * alpha + 7
-            beta = (e - 1) // 2
-            pe = p**e
-            direct = 0
-            if 5 * pe <= M:
-                n = 1
-                while 5 * pe * n <= M:
-                    if n % p != 0:
-                        direct += 1
-                        tested += 1
-                        v = gf5.coeffs[5 * pe * n]
-                        if v != 0:
-                            _record(
-                                ces,
-                                {"p": p, "alpha": alpha, "N": n, "exponent": e},
-                                {"pbar_mod_5": str(v)},
-                                "pbar(5 p^e N) == 0 (mod 5)",
-                            )
-                    n += 1
-            if direct == 0:
-                skipped.append(
-                    {
-                        "p": p,
-                        "alpha": alpha,
-                        "exponent": e,
-                        "family": "direct",
-                        "minimal_argument": str(5 * pe),
-                    }
+            step = 5 * p**e
+            for n in _coprime_to(p, M // step):
+                v = gf5.coeffs[step * n]
+                t.expect(
+                    v == 0,
+                    {"p": p, "alpha": alpha, "N": n, "exponent": e},
+                    {"pbar_mod_5": v},
+                    "pbar(5 p^e N) == 0 (mod 5)",
                 )
-            for n0 in range(1, M // p + 1):
-                if n0 % p == 0:
-                    continue
-                val = r3_recursion(p, beta, p * n0, {p * n0: r3x.coeffs[p * n0]})
-                tested += 1
-                if val % 5 != 0:
-                    _record(
-                        ces,
-                        {"p": p, "alpha": alpha, "N": n0, "exponent": e},
-                        {"r3_recursion_mod_5": str(val % 5)},
-                        "r3(p^e N) == 0 (mod 5)",
-                    )
-    return finalize_report(
-        "fam-5p-high",
-        {
-            "modulus": 5,
-            "max_argument": M,
-            "max_prime": budget.max_prime,
-            "max_alpha": budget.max_alpha,
-        },
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+            if step > M:
+                t.skip(step, p=p, alpha=alpha, exponent=e, family="direct")
+            for n0 in _coprime_to(p, M // p):
+                val = r3_recursion(p, (e - 1) // 2, p * n0, {p * n0: r3x.coeffs[p * n0]})
+                t.expect(
+                    val % 5 == 0,
+                    {"p": p, "alpha": alpha, "N": n0, "exponent": e},
+                    {"r3_recursion_mod_5": val % 5},
+                    "r3(p^e N) == 0 (mod 5)",
+                )
+    return {"modulus": 5, **asdict(budget)}, (1, M)
 
 
-def _check_fam_3p_high(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """The 3 p^e N families: mod 3 and mod 9 for p == 1 (mod 3) (e = 6a+5 and
-    18a+17), mod 9 for p == 2 (mod 3) (e = 4a+3); N coprime to p.
-
-    Same scheme as the quintic families: direct instances within budget are
+@_check(
+    "fam-3p-high",
+    "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
+    "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
+)
+def _check_fam_3p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+    """Same scheme as the quintic families: direct instances within budget are
     read from the overpartition series mod 9; the rest is verified through the
     r5 recursion with in-budget bases r5(pN).
     """
-    t0 = perf_counter()
     M = budget.max_argument
     gf9 = bank.overpartition(9)
     r5x = bank.rk(5, None)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for p in _odd_primes(budget.max_prime):
         if p == 3:
             continue
-        if p % 3 == 1:
-            branches = [(3, lambda a: 6 * a + 5), (9, lambda a: 18 * a + 17)]
-        else:
-            branches = [(9, lambda a: 4 * a + 3)]
-        for modulus, exponent_of in branches:
+        # (modulus, e = slope * alpha + offset) per residue class of p mod 3
+        branches = [(3, 6, 5), (9, 18, 17)] if p % 3 == 1 else [(9, 4, 3)]
+        for modulus, slope, offset in branches:
             for alpha in range(budget.max_alpha + 1):
-                e = exponent_of(alpha)
-                beta = (e - 1) // 2
-                pe = p**e
-                direct = 0
-                if 3 * pe <= M:
-                    n = 1
-                    while 3 * pe * n <= M:
-                        if n % p != 0:
-                            direct += 1
-                            tested += 1
-                            v = gf9.coeffs[3 * pe * n] % modulus
-                            if v != 0:
-                                _record(
-                                    ces,
-                                    {"p": p, "alpha": alpha, "N": n, "exponent": e, "modulus": modulus},
-                                    {"pbar_residue": str(v)},
-                                    "pbar(3 p^e N) == 0 (mod m)",
-                                )
-                        n += 1
-                if direct == 0:
-                    skipped.append(
-                        {
-                            "p": p,
-                            "alpha": alpha,
-                            "exponent": e,
-                            "modulus": modulus,
-                            "family": "direct",
-                            "minimal_argument": str(3 * pe),
-                        }
+                e = slope * alpha + offset
+                step = 3 * p**e
+                for n in _coprime_to(p, M // step):
+                    v = gf9.coeffs[step * n] % modulus
+                    t.expect(
+                        v == 0,
+                        {"p": p, "alpha": alpha, "N": n, "exponent": e, "modulus": modulus},
+                        {"pbar_residue": v},
+                        "pbar(3 p^e N) == 0 (mod m)",
                     )
-                for n0 in range(1, M // p + 1):
-                    if n0 % p == 0:
-                        continue
-                    val = r5_recursion(p, beta, p * n0, {p * n0: r5x.coeffs[p * n0]})
-                    tested += 1
-                    if val % modulus != 0:
-                        _record(
-                            ces,
-                            {"p": p, "alpha": alpha, "N": n0, "exponent": e, "modulus": modulus},
-                            {"r5_recursion_residue": str(val % modulus)},
-                            "r5(p^e N) == 0 (mod m)",
-                        )
-    return finalize_report(
-        "fam-3p-high",
-        {
-            "max_argument": M,
-            "max_prime": budget.max_prime,
-            "max_alpha": budget.max_alpha,
-        },
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+                if step > M:
+                    t.skip(step, p=p, alpha=alpha, exponent=e, modulus=modulus, family="direct")
+                for n0 in _coprime_to(p, M // p):
+                    val = r5_recursion(p, (e - 1) // 2, p * n0, {p * n0: r5x.coeffs[p * n0]})
+                    t.expect(
+                        val % modulus == 0,
+                        {"p": p, "alpha": alpha, "N": n0, "exponent": e, "modulus": modulus},
+                        {"r5_recursion_residue": val % modulus},
+                        "r5(p^e N) == 0 (mod m)",
+                    )
+    return asdict(budget), (1, M)
 
 
-def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """pbar(4^a (40n+35)) == 0 (mod 5), and pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)."""
-    t0 = perf_counter()
+@_check(
+    "cor-5-4alpha",
+    "pbar(4^a (40n+35)) == 0 (mod 5), and pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
+)
+def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
-    ces: list[dict] = []
-    tested = 0
-    instances = _qualifying_40n35(M)
     gf5 = bank.overpartition(5)
-    for alpha, n, arg in instances:
-        tested += 1
+    for alpha, n, arg in _qualifying_40n35(M):
         v = gf5.coeffs[arg]
-        if v != 0:
-            _record(
-                ces,
-                {"part": 1, "alpha": alpha, "n": n, "argument": arg},
-                {"pbar_mod_5": str(v)},
-                "pbar(4^a (40n+35)) == 0 (mod 5)",
-            )
+        t.expect(
+            v == 0,
+            {"part": 1, "alpha": alpha, "n": n, "argument": arg},
+            {"pbar_mod_5": v},
+            "pbar(4^a (40n+35)) == 0 (mod 5)",
+        )
     for alpha in range(budget.max_alpha + 1):
         step = 5 * 4 ** (alpha + 1)
-        n = 0
-        while step * n <= M:
+        for n in range(M // step + 1):
             left = gf5.coeffs[step * n]
             right = _signed(gf5.coeffs[5 * n], n, 5)
-            tested += 1
-            if left != right:
-                _record(
-                    ces,
-                    {"part": 2, "alpha": alpha, "n": n},
-                    {"pbar_5_4a1_n_mod_5": str(left), "signed_pbar_5n_mod_5": str(right)},
-                    "pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
-                )
-            n += 1
-    return finalize_report(
-        "cor-5-4alpha",
-        {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha},
-        (0, M),
-        ces,
-        tested,
-        _ms(t0),
-    )
+            t.expect(
+                left == right,
+                {"part": 2, "alpha": alpha, "n": n},
+                {"pbar_5_4a1_n_mod_5": left, "signed_pbar_5n_mod_5": right},
+                "pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
+            )
+    return {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha}, (0, M)
 
 
-def _replay_series_comparison(
-    check_id: str,
-    lhs: TruncatedSeries,
-    rhs: TruncatedSeries,
-    relation: str,
-    parameters: dict,
-    t0: float,
-    extra_args: dict | None = None,
-) -> CheckReport:
-    ces: list[dict] = []
-    through = min(lhs.order, rhs.order)
-    for k in range(through + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            args = {"coefficient": k}
-            if extra_args:
-                args.update(extra_args)
-            _record(ces, args, {"lhs": str(lhs.coeffs[k]), "rhs": str(rhs.coeffs[k])}, relation)
-    return finalize_report(
-        check_id, parameters, (0, through), ces, through + 1, _ms(t0)
-    )
-
-
-def _check_replay_phi5(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """phi(q)^5 == phi(q^5) (mod 5), coefficient-wise."""
-    t0 = perf_counter()
+@_check("replay-phi5", "phi(q)^5 == phi(q^5) (mod 5) coefficient-wise")
+def _check_replay_phi5(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     L = min(budget.max_argument, 500)
     ph = phi(L, mod_ring(5))
-    return _replay_series_comparison(
-        "replay-phi5",
-        ph**5,
-        ph.substitute_power(5),
-        "phi^5 == phi(q^5) (mod 5)",
-        {"modulus": 5, "order": L},
-        t0,
-    )
+    through = t.series(ph**5, ph.substitute_power(5), "phi^5 == phi(q^5) (mod 5)")
+    return {"modulus": 5, "order": L}, (0, through)
 
 
-def _check_replay_phi9(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """phi(q)^9 == phi(q^3)^3 (mod 9), coefficient-wise."""
-    t0 = perf_counter()
+@_check("replay-phi9", "phi(q)^9 == phi(q^3)^3 (mod 9) coefficient-wise")
+def _check_replay_phi9(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     L = min(budget.max_argument, 500)
     ph = phi(L, mod_ring(9))
-    return _replay_series_comparison(
-        "replay-phi9",
-        ph**9,
-        ph.substitute_power(3) ** 3,
-        "phi^9 == phi(q^3)^3 (mod 9)",
-        {"modulus": 9, "order": L},
-        t0,
-    )
+    through = t.series(ph**9, ph.substitute_power(3) ** 3, "phi^9 == phi(q^3)^3 (mod 9)")
+    return {"modulus": 9, "order": L}, (0, through)
 
 
 _EULER_POWER_PAIRS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))
 
 
-def _check_lemma_euler_power(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a) over the seven (p, a) pairs."""
-    t0 = perf_counter()
+@_check(
+    "lemma-euler-power",
+    "(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a) for the seven (p, a) pairs up to (5, 2)",
+)
+def _check_lemma_euler_power(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     L = min(budget.max_argument, 500)
-    ces: list[dict] = []
-    tested = 0
-    pairs = [
-        (p, a)
-        for p, a in _EULER_POWER_PAIRS
-        if p <= budget.max_prime and a <= budget.max_alpha
-    ]
-    skipped = [
-        {"p": p, "alpha": a, "minimal_argument": str(p)}
-        for p, a in _EULER_POWER_PAIRS
-        if (p, a) not in pairs
-    ]
-    for p, a in pairs:
-        m = p**a
-        e = euler_product(L, mod_ring(m))
-        lhs = e ** (p**a)
-        rhs = e.substitute_power(p) ** (p ** (a - 1))
-        for k in range(L + 1):
-            tested += 1
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                _record(
-                    ces,
-                    {"p": p, "alpha": a, "coefficient": k},
-                    {"lhs": str(lhs.coeffs[k]), "rhs": str(rhs.coeffs[k])},
-                    "(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a)",
-                )
-    return finalize_report(
-        "lemma-euler-power",
-        {"order": L, "pairs": len(pairs)},
-        (0, L),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+    for p, a in _EULER_POWER_PAIRS:
+        if p > budget.max_prime or a > budget.max_alpha:
+            t.skip(p, p=p, alpha=a)
+            continue
+        e = euler_product(L, mod_ring(p**a))
+        t.series(
+            e ** (p**a),
+            e.substitute_power(p) ** (p ** (a - 1)),
+            "(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a)",
+            args=lambda k: {"p": p, "alpha": a, "coefficient": k},
+        )
+    return {"order": L, "pairs": len(_EULER_POWER_PAIRS) - len(t.skipped_points)}, (0, L)
 
 
-def _check_final_step(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """sum pbar(5n)(-q)^n == phi^3 (mod 5) and sum pbar(3n)(-q)^n == phi^5 (mod 9)."""
-    t0 = perf_counter()
+@_check(
+    "final-step",
+    "sum_n pbar(5n)(-q)^n == phi(q)^3 (mod 5), and sum_n pbar(3n)(-q)^n == phi(q)^5 (mod 9)",
+    "needs max_argument >= 5",
+)
+def _check_final_step(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     if M < 5:
-        return finalize_report(
-            "final-step", {"max_argument": M}, (0, 0), [], 0, _ms(t0), skip_reason="needs max_argument >= 5"
-        )
-    ces: list[dict] = []
-    tested = 0
+        return {"max_argument": M}, (0, 0)
     lhs5 = bank.overpartition(5).extract_progression(5, 0).alternate_signs()
-    rhs5 = bank.rk(3, 5)
-    for k in range(lhs5.order + 1):
-        tested += 1
-        if lhs5.coeffs[k] != rhs5.coeffs[k]:
-            _record(
-                ces,
-                {"modulus": 5, "coefficient": k},
-                {"signed_pbar_5n": str(lhs5.coeffs[k]), "r3": str(rhs5.coeffs[k])},
-                "sum pbar(5n)(-q)^n == phi^3 (mod 5)",
-            )
-    lhs9 = bank.overpartition(9).extract_progression(3, 0).alternate_signs()
-    rhs9 = bank.rk(5, 9)
-    for k in range(lhs9.order + 1):
-        tested += 1
-        if lhs9.coeffs[k] != rhs9.coeffs[k]:
-            _record(
-                ces,
-                {"modulus": 9, "coefficient": k},
-                {"signed_pbar_3n": str(lhs9.coeffs[k]), "r5": str(rhs9.coeffs[k])},
-                "sum pbar(3n)(-q)^n == phi^5 (mod 9)",
-            )
-    return finalize_report(
-        "final-step",
-        {"max_argument": M, "terms_mod_5": lhs5.order + 1, "terms_mod_9": lhs9.order + 1},
-        (0, max(lhs5.order, lhs9.order)),
-        ces,
-        tested,
-        _ms(t0),
+    t.series(
+        lhs5,
+        bank.rk(3, 5),
+        "sum pbar(5n)(-q)^n == phi^3 (mod 5)",
+        ("signed_pbar_5n", "r3"),
+        lambda k: {"modulus": 5, "coefficient": k},
     )
+    lhs9 = bank.overpartition(9).extract_progression(3, 0).alternate_signs()
+    t.series(
+        lhs9,
+        bank.rk(5, 9),
+        "sum pbar(3n)(-q)^n == phi^5 (mod 9)",
+        ("signed_pbar_3n", "r5"),
+        lambda k: {"modulus": 9, "coefficient": k},
+    )
+    parameters = {"max_argument": M, "terms_mod_5": lhs5.order + 1, "terms_mod_9": lhs9.order + 1}
+    return parameters, (0, max(lhs5.order, lhs9.order))
 
 
-def _check_rk_routes(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """Divisor-sum formulas (k = 4, 8) and the lattice enumerator vs the series."""
-    t0 = perf_counter()
+@_check(
+    "rk-route-agreement",
+    "r4/r8 divisor-sum formulas and the lattice enumerator agree with the phi-power series",
+)
+def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
-    ces: list[dict] = []
-    tested = 0
     lim_formula = min(M, 2000)
     r4s = bank.rk(4, None, order=lim_formula)
     r8s = bank.rk(8, None, order=lim_formula)
     for n in range(1, lim_formula + 1):
-        tested += 2
         f4, s4 = r4_formula(n), r4s.coeffs[n]
-        if f4 != s4:
-            _record(ces, {"k": 4, "n": n}, {"formula": str(f4), "series": str(s4)}, "r4 routes agree")
+        t.expect(f4 == s4, {"k": 4, "n": n}, {"formula": f4, "series": s4}, "r4 routes agree")
         f8, s8 = r8_formula(n), r8s.coeffs[n]
-        if f8 != s8:
-            _record(ces, {"k": 8, "n": n}, {"formula": str(f8), "series": str(s8)}, "r8 routes agree")
+        t.expect(f8 == s8, {"k": 8, "n": n}, {"formula": f8, "series": s8}, "r8 routes agree")
     brute_grid = ((3, min(M, 300)), (4, min(M, 300)), (5, min(M, 100)), (8, min(M, 100)))
     for k, lim in brute_grid:
         series = bank.rk(k, None) if k in (3, 5) else bank.rk(k, None, order=lim_formula)
         for n in range(0, lim + 1):
-            tested += 1
             b = rk_bruteforce(k, n)
             s = series.coeffs[n]
-            if b != s:
-                _record(
-                    ces,
-                    {"k": k, "n": n},
-                    {"bruteforce": str(b), "series": str(s)},
-                    "lattice enumeration agrees with the series",
-                )
-    return finalize_report(
-        "rk-route-agreement",
-        {"formula_limit": lim_formula, "brute_limit_k34": min(M, 300), "brute_limit_k58": min(M, 100)},
-        (0, lim_formula),
-        ces,
-        tested,
-        _ms(t0),
-    )
+            t.expect(
+                b == s,
+                {"k": k, "n": n},
+                {"bruteforce": b, "series": s},
+                "lattice enumeration agrees with the series",
+            )
+    parameters = {
+        "formula_limit": lim_formula,
+        "brute_limit_k34": min(M, 300),
+        "brute_limit_k58": min(M, 100),
+    }
+    return parameters, (0, lim_formula)
 
 
-def _check_r48_scaling(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """r4(pn) == r4(n) (mod p) and r8(pn) == r8(n) (mod p^3) for odd primes p."""
-    t0 = perf_counter()
+@_check(
+    "lemma-r48-scaling", "r4(pn) == r4(n) (mod p) and r8(pn) == r8(n) (mod p^3) for odd primes p"
+)
+def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     lim = min(budget.max_argument, 1000)
-    ces: list[dict] = []
-    tested = 0
     for p in _odd_primes(budget.max_prime):
         p3 = p**3
         for n in range(1, lim + 1):
-            tested += 2
-            if r4_formula(p * n) % p != r4_formula(n) % p:
-                _record(
-                    ces,
-                    {"k": 4, "p": p, "n": n},
-                    {"r4_pn_mod_p": str(r4_formula(p * n) % p), "r4_n_mod_p": str(r4_formula(n) % p)},
-                    "r4(pn) == r4(n) (mod p)",
-                )
-            if r8_formula(p * n) % p3 != r8_formula(n) % p3:
-                _record(
-                    ces,
-                    {"k": 8, "p": p, "n": n},
-                    {"r8_pn": str(r8_formula(p * n) % p3), "r8_n": str(r8_formula(n) % p3)},
-                    "r8(pn) == r8(n) (mod p^3)",
-                )
-    return finalize_report(
-        "lemma-r48-scaling",
-        {"n_limit": lim, "max_prime": budget.max_prime},
-        (1, lim),
-        ces,
-        tested,
-        _ms(t0),
-    )
+            r4_pn = r4_formula(p * n) % p
+            r4_n = r4_formula(n) % p
+            t.expect(
+                r4_pn == r4_n,
+                {"k": 4, "p": p, "n": n},
+                {"r4_pn_mod_p": r4_pn, "r4_n_mod_p": r4_n},
+                "r4(pn) == r4(n) (mod p)",
+            )
+            r8_pn = r8_formula(p * n) % p3
+            r8_n = r8_formula(n) % p3
+            t.expect(
+                r8_pn == r8_n,
+                {"k": 8, "p": p, "n": n},
+                {"r8_pn": r8_pn, "r8_n": r8_n},
+                "r8(pn) == r8(n) (mod p^3)",
+            )
+    return {"n_limit": lim, "max_prime": budget.max_prime}, (1, lim)
 
 
-def _check_r3_four(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """r3(4^a (8n+7)) == 0 and r3(4^a n) == r3(n), within the series order."""
-    t0 = perf_counter()
+@_check("lemma-r3-four", "r3(4^a (8n+7)) == 0 and r3(4^a n) == r3(n)")
+def _check_r3_four(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     r3x = bank.rk(3, None)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for alpha in range(budget.max_alpha + 1):
         base = 4**alpha
         if base * 7 > M:
-            skipped.append({"alpha": alpha, "family": "vanishing", "minimal_argument": str(base * 7)})
-        else:
-            n = 0
-            while base * (8 * n + 7) <= M:
-                arg = base * (8 * n + 7)
-                tested += 1
-                if r3x.coeffs[arg] != 0:
-                    _record(
-                        ces,
-                        {"alpha": alpha, "n": n, "argument": arg},
-                        {"r3": str(r3x.coeffs[arg])},
-                        "r3(4^a (8n+7)) == 0",
-                    )
-                n += 1
-        if alpha >= 1:
-            if base > M:
-                skipped.append({"alpha": alpha, "family": "invariance", "minimal_argument": str(base)})
-                continue
-            for n in range(1, M // base + 1):
-                tested += 1
-                if r3x.coeffs[base * n] != r3x.coeffs[n]:
-                    _record(
-                        ces,
-                        {"alpha": alpha, "n": n},
-                        {"r3_4an": str(r3x.coeffs[base * n]), "r3_n": str(r3x.coeffs[n])},
-                        "r3(4^a n) == r3(n)",
-                    )
-    return finalize_report(
-        "lemma-r3-four",
-        {"max_argument": M, "max_alpha": budget.max_alpha},
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+            t.skip(base * 7, alpha=alpha, family="vanishing")
+        for n in range((M // base + 1) // 8):  # base * (8n + 7) <= M
+            arg = base * (8 * n + 7)
+            t.expect(
+                r3x.coeffs[arg] == 0,
+                {"alpha": alpha, "n": n, "argument": arg},
+                {"r3": r3x.coeffs[arg]},
+                "r3(4^a (8n+7)) == 0",
+            )
+        if alpha == 0:
+            continue
+        if base > M:
+            t.skip(base, alpha=alpha, family="invariance")
+        for n in range(1, M // base + 1):
+            t.expect(
+                r3x.coeffs[base * n] == r3x.coeffs[n],
+                {"alpha": alpha, "n": n},
+                {"r3_4an": r3x.coeffs[base * n], "r3_n": r3x.coeffs[n]},
+                "r3(4^a n) == r3(n)",
+            )
+    return {"max_argument": M, "max_alpha": budget.max_alpha}, (1, M)
 
 
-def _check_r3_recursion(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """The r3 prime-power recursion reproduces the series at p^(2a) n, all n."""
-    t0 = perf_counter()
+@_check(
+    "lemma-r3-recursion",
+    "the r3 prime-power recursion reproduces the series coefficients at p^(2a) n, all n",
+)
+def _check_r3_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     r3x = bank.rk(3, None)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for p in _odd_primes(budget.max_prime):
+        psq = p * p
         for alpha in range(1, budget.max_alpha + 1):
             p2a = p ** (2 * alpha)
             if p2a > M:
-                skipped.append({"p": p, "alpha": alpha, "minimal_argument": str(p2a)})
-                continue
-            psq = p * p
+                t.skip(p2a, p=p, alpha=alpha)
             for n in range(1, M // p2a + 1):
                 base = {n: r3x.coeffs[n]}
                 if n % psq == 0:
                     base[n // psq] = r3x.coeffs[n // psq]
                 got = r3_recursion(p, alpha, n, base)
                 want = r3x.coeffs[p2a * n]
-                tested += 1
-                if got != want:
-                    _record(
-                        ces,
-                        {"p": p, "alpha": alpha, "n": n},
-                        {"recursion": str(got), "series": str(want)},
-                        "r3 recursion matches the series",
-                    )
-    return finalize_report(
-        "lemma-r3-recursion",
-        {"max_argument": M, "max_prime": budget.max_prime, "max_alpha": budget.max_alpha},
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+                t.expect(
+                    got == want,
+                    {"p": p, "alpha": alpha, "n": n},
+                    {"recursion": got, "series": want},
+                    "r3 recursion matches the series",
+                )
+    return asdict(budget), (1, M)
 
 
-def _check_r5_recursion(budget: Budget, bank: SeriesBank) -> CheckReport:
-    """The r5 prime-power recursion reproduces the series at p^(2a) n, p^2 not dividing n."""
-    t0 = perf_counter()
+@_check(
+    "lemma-r5-recursion",
+    "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
+)
+def _check_r5_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     M = budget.max_argument
     r5x = bank.rk(5, None)
-    ces: list[dict] = []
-    skipped: list[dict] = []
-    tested = 0
     for p in _odd_primes(budget.max_prime):
-        psq = p * p
         for alpha in range(1, budget.max_alpha + 1):
             p2a = p ** (2 * alpha)
             if p2a > M:
-                skipped.append({"p": p, "alpha": alpha, "minimal_argument": str(p2a)})
-                continue
-            for n in range(1, M // p2a + 1):
-                if n % psq == 0:
-                    continue
+                t.skip(p2a, p=p, alpha=alpha)
+            for n in _coprime_to(p * p, M // p2a):
                 got = r5_recursion(p, alpha, n, {n: r5x.coeffs[n]})
                 want = r5x.coeffs[p2a * n]
-                tested += 1
-                if got != want:
-                    _record(
-                        ces,
-                        {"p": p, "alpha": alpha, "n": n},
-                        {"recursion": str(got), "series": str(want)},
-                        "r5 recursion matches the series",
-                    )
-    return finalize_report(
-        "lemma-r5-recursion",
-        {"max_argument": M, "max_prime": budget.max_prime, "max_alpha": budget.max_alpha},
-        (1, M),
-        ces,
-        tested,
-        _ms(t0),
-        skipped_points=skipped,
-    )
+                t.expect(
+                    got == want,
+                    {"p": p, "alpha": alpha, "n": n},
+                    {"recursion": got, "series": want},
+                    "r5 recursion matches the series",
+                )
+    return asdict(budget), (1, M)
 
 
 # ---------------------------------------------------------------------------
 # Registry and runner
 # ---------------------------------------------------------------------------
 
-
-def _warm_gf(*moduli) -> Callable[[Budget, SeriesBank], None]:
-    def warm(budget: Budget, bank: SeriesBank) -> None:
-        for m in moduli:
-            bank.overpartition(m)
-
-    return warm
-
-
-def _warm_gf_rk(gf_moduli, rk_specs) -> Callable[[Budget, SeriesBank], None]:
-    def warm(budget: Budget, bank: SeriesBank) -> None:
-        for m in gf_moduli:
-            bank.overpartition(m)
-        for k, m in rk_specs:
-            bank.rk(k, m)
-
-    return warm
-
-
-def _no_warm(budget: Budget, bank: SeriesBank) -> None:
-    return None
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    statement: str
-    fn: Callable[[Budget, SeriesBank], CheckReport]
-    prewarm: Callable[[Budget, SeriesBank], None] = _no_warm
-
-
-_CHECKS = (
-    CheckDef(
-        "thm-main",
-        "pbar(5n) == (-1)^n r3(n) (mod 5) for n >= 1",
-        _check_thm_main,
-        _warm_gf_rk((5,), ((3, 5),)),
-    ),
-    CheckDef(
-        "thm-mod9",
-        "pbar(3n) == (-1)^n r5(n) (mod 9) for n >= 1, plus the weaker mod-3 form",
-        _check_thm_mod9,
-        _warm_gf_rk((9,), ((5, 9),)),
-    ),
-    CheckDef(
-        "conj-40",
-        "pbar(4^a (40n+35)) == 0 (mod 40), cross-checked against the mod-8 x mod-5 CRT recombination",
-        _check_conj40,
-        _warm_gf(40, 8, 5),
-    ),
-    CheckDef(
-        "mod8-criterion",
-        "pbar(n) == 0 (mod 8) whenever n is neither a square nor twice a square",
-        _check_mod8,
-        _warm_gf(8,),
-    ),
-    CheckDef(
-        "id-4n3",
-        "sum_n pbar(4n+3) q^n == 8 (q^2;q^2)(q^4;q^4)^6 / (q;q)^8, exact term-by-term",
-        _check_id_4n3,
-        _warm_gf(None),
-    ),
-    CheckDef(
-        "fam-5power",
-        "pbar(5^(2a+1)(5n+1)) == pbar(5^(2a+1)(5n+4)) == 0 (mod 5) for a >= 1",
-        _check_fam_5power,
-        _warm_gf(5,),
-    ),
-    CheckDef(
-        "fam-5p3",
-        "pbar(5 p^3 n) == 0 (mod 5) for primes p == 4 (mod 5), n coprime to p; "
-        "out-of-budget instances verified through r3(p^3 n) == (p+1) r3(pn) == 0 (mod 5)",
-        _check_fam_5p3,
-        _warm_gf_rk((5,), ((3, None),)),
-    ),
-    CheckDef(
-        "fam-5p-high",
-        "pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5); pbar(5 p^(8a+7) N) == 0 (mod 5) "
-        "for p == 2,3,4 (mod 5); N coprime to p; driven by the r3 recursion divisibility",
-        _check_fam_5p_high,
-        _warm_gf_rk((5,), ((3, None),)),
-    ),
-    CheckDef(
-        "fam-3p-high",
-        "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
-        "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
-        _check_fam_3p_high,
-        _warm_gf_rk((9,), ((5, None),)),
-    ),
-    CheckDef(
-        "cor-5-4alpha",
-        "pbar(4^a (40n+35)) == 0 (mod 5), and pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
-        _check_cor_5_4alpha,
-        _warm_gf(5,),
-    ),
-    CheckDef(
-        "replay-phi5",
-        "phi(q)^5 == phi(q^5) (mod 5) coefficient-wise",
-        _check_replay_phi5,
-    ),
-    CheckDef(
-        "replay-phi9",
-        "phi(q)^9 == phi(q^3)^3 (mod 9) coefficient-wise",
-        _check_replay_phi9,
-    ),
-    CheckDef(
-        "lemma-euler-power",
-        "(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a) for the seven (p, a) pairs up to (5, 2)",
-        _check_lemma_euler_power,
-    ),
-    CheckDef(
-        "final-step",
-        "sum_n pbar(5n)(-q)^n == phi(q)^3 (mod 5), and sum_n pbar(3n)(-q)^n == phi(q)^5 (mod 9)",
-        _check_final_step,
-        _warm_gf_rk((5, 9), ((3, 5), (5, 9))),
-    ),
-    CheckDef(
-        "rk-route-agreement",
-        "r4/r8 divisor-sum formulas and the lattice enumerator agree with the phi-power series",
-        _check_rk_routes,
-        _warm_gf_rk((), ((3, None), (5, None))),
-    ),
-    CheckDef(
-        "lemma-r48-scaling",
-        "r4(pn) == r4(n) (mod p) and r8(pn) == r8(n) (mod p^3) for odd primes p",
-        _check_r48_scaling,
-    ),
-    CheckDef(
-        "lemma-r3-four",
-        "r3(4^a (8n+7)) == 0 and r3(4^a n) == r3(n)",
-        _check_r3_four,
-        _warm_gf_rk((), ((3, None),)),
-    ),
-    CheckDef(
-        "lemma-r3-recursion",
-        "the r3 prime-power recursion reproduces the series coefficients at p^(2a) n, all n",
-        _check_r3_recursion,
-        _warm_gf_rk((), ((3, None),)),
-    ),
-    CheckDef(
-        "lemma-r5-recursion",
-        "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
-        _check_r5_recursion,
-        _warm_gf_rk((), ((5, None),)),
-    ),
-)
-
 REGISTRY: dict[str, CheckDef] = {c.check_id: c for c in _CHECKS}
-
-_FAMILY_IDS = ("fam-5power", "fam-5p3", "fam-5p-high", "fam-3p-high", "cor-5-4alpha")
-_REPLAY_IDS = ("replay-phi5", "replay-phi9", "lemma-euler-power")
 
 
 def all_check_ids() -> list[str]:
@@ -1114,89 +703,42 @@ def iter_check_reports(
     check_ids,
     budget: Budget,
     *,
-    jobs: int = 1,
     stop_on_first: bool = False,
     bank: SeriesBank | None = None,
 ) -> Iterator[CheckReport]:
-    """Run the named checks, yielding reports in the requested order.
+    """Run the named checks one after another, yielding reports in the requested order.
 
-    Unknown ids raise KeyError before any computation.  Shared series are
-    precomputed once, sequentially, before checkers fan out (checkers are
-    side-effect-free readers afterwards).
+    Unknown ids raise KeyError before any computation.  A report's elapsed_ms
+    includes building the shared series its check is the first to use.
     """
     defs = [REGISTRY[cid] for cid in check_ids]
     if bank is None:
         bank = SeriesBank(budget)
     for d in defs:
-        d.prewarm(budget, bank)
-    if jobs <= 1:
-        for d in defs:
-            report = d.fn(budget, bank)
-            yield report
-            if stop_on_first and report.status == STATUS_FAIL:
-                return
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(d.fn, budget, bank) for d in defs]
-            for fut in futures:
-                report = fut.result()
-                yield report
-                if stop_on_first and report.status == STATUS_FAIL:
-                    for other in futures:
-                        other.cancel()
-                    return
+        t0 = perf_counter()
+        tally = Tally(d.skip_reason)
+        parameters, range_tested = d.fn(budget, bank, tally)
+        report = finalize_report(
+            d.check_id,
+            parameters,
+            range_tested,
+            tally.counterexamples,
+            tally.tested,
+            int((perf_counter() - t0) * 1000),
+            tally.skipped_points,
+            tally.skip_reason,
+        )
+        yield report
+        if stop_on_first and report.status == STATUS_FAIL:
+            return
 
 
 def run_checks(
     check_ids,
     budget: Budget,
     *,
-    jobs: int = 1,
     stop_on_first: bool = False,
     bank: SeriesBank | None = None,
 ) -> tuple[list[CheckReport], dict]:
-    reports = list(
-        iter_check_reports(check_ids, budget, jobs=jobs, stop_on_first=stop_on_first, bank=bank)
-    )
+    reports = list(iter_check_reports(check_ids, budget, stop_on_first=stop_on_first, bank=bank))
     return reports, summary_counts(reports)
-
-
-# Single-statement entry points mirroring the module's operation surface.
-
-
-def _run_one(check_id: str, budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return next(iter_check_reports([check_id], budget, bank=bank))
-
-
-def check_thm_main(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("thm-main", budget, bank)
-
-
-def check_thm_mod9(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("thm-mod9", budget, bank)
-
-
-def check_conjecture_40(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("conj-40", budget, bank)
-
-
-def check_mod8_criterion(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("mod8-criterion", budget, bank)
-
-
-def check_id_4n3(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("id-4n3", budget, bank)
-
-
-def check_families(budget: Budget, bank: SeriesBank | None = None) -> list[CheckReport]:
-    bank = bank or SeriesBank(budget)
-    return [_run_one(cid, budget, bank) for cid in _FAMILY_IDS]
-
-
-def replay_proof_steps(budget: Budget, bank: SeriesBank | None = None) -> list[CheckReport]:
-    bank = bank or SeriesBank(budget)
-    return [_run_one(cid, budget, bank) for cid in _REPLAY_IDS]
-
-
-def check_final_step_thm1(budget: Budget, bank: SeriesBank | None = None) -> CheckReport:
-    return _run_one("final-step", budget, bank)

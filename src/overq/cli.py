@@ -17,7 +17,6 @@ from .checks import REGISTRY, all_check_ids, coverage_manifest, iter_check_repor
 from .reporting import STATUS_FAIL, Budget
 from .series import EXACT, mod_ring
 from .squares import (
-    BRUTEFORCE_MAX_N,
     RkMethod,
     RkRequest,
     r4_formula,
@@ -88,17 +87,14 @@ def _compute_rk(method: RkMethod, k: int, n: int) -> int:
 
 
 def _applicable_methods(k: int, n: int) -> list[RkMethod]:
-    methods = [RkMethod.SERIES]
-    if k in (4, 8) and n >= 1:
-        methods.append(RkMethod.FORMULA)
-    if n <= BRUTEFORCE_MAX_N[k]:
-        methods.append(RkMethod.BRUTE_FORCE)
-    if k in (3, 5) and n >= 1:
+    """Every method whose RkRequest validates for r_k(n)."""
+    methods = []
+    for method in RkMethod:
         try:
-            rk_recursion_route(k, n, lambda _b: 0)
-            methods.append(RkMethod.RECURSION)
+            RkRequest(k, n, method)
         except ValueError:
-            pass
+            continue
+        methods.append(method)
     return methods
 
 
@@ -108,10 +104,7 @@ def _cmd_rk(args: argparse.Namespace) -> int:
         RkRequest(args.k, args.n, method)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    try:
-        value = _compute_rk(method, args.k, args.n)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    value = _compute_rk(method, args.k, args.n)
     if args.cross_check:
         for other in _applicable_methods(args.k, args.n):
             if other is method:
@@ -151,9 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit({"manifest": {cid: manifest[cid] for cid in ids}})
     failures = 0
     counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for report in iter_check_reports(
-        ids, budget, jobs=args.jobs, stop_on_first=args.stop_on_first
-    ):
+    for report in iter_check_reports(ids, budget, stop_on_first=args.stop_on_first):
         counts[report.status] += 1
         if report.status == STATUS_FAIL:
             failures += 1
@@ -202,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-arg", type=int, default=10_000, help="budget: largest series index")
     p_verify.add_argument("--max-prime", type=int, default=23, help="budget: largest prime in grids")
     p_verify.add_argument("--max-alpha", type=int, default=3, help="budget: largest exponent parameter")
-    p_verify.add_argument("--jobs", type=int, default=1, help="run checkers in this many threads")
     p_verify.add_argument(
         "--stop-on-first", action="store_true", help="stop after the first failing check"
     )

@@ -37,9 +37,14 @@ class RkMethod(Enum):
     BRUTE_FORCE = "bruteforce"
 
 
+def _odd_square_factor(n: int) -> tuple[int, int] | None:
+    """(p, e) for the smallest odd prime p whose square divides n >= 1, p^e || n; else None."""
+    return next(((p, e) for p, e in factor(n).entries if p != 2 and e >= 2), None)
+
+
 @dataclass(frozen=True)
 class RkRequest:
-    """One r_k(n) query; validates that the method applies to k."""
+    """One r_k(n) query; validation is the single place deciding whether a route applies."""
 
     k: int
     n: int
@@ -54,6 +59,16 @@ class RkRequest:
             raise ValueError("divisor-sum formulas exist for k = 4 and k = 8 only")
         if self.method is RkMethod.RECURSION and self.k not in (3, 5):
             raise ValueError("prime-power recursions exist for k = 3 and k = 5 only")
+        if self.method in (RkMethod.FORMULA, RkMethod.RECURSION) and self.n < 1:
+            raise ValueError(f"the {self.method.value} route needs n >= 1, got {self.n}")
+        if self.method is RkMethod.RECURSION and _odd_square_factor(self.n) is None:
+            raise ValueError(
+                f"the recursion route needs an odd prime square dividing n; none divides {self.n}"
+            )
+        if self.method is RkMethod.BRUTE_FORCE and self.n > BRUTEFORCE_MAX_N[self.k]:
+            raise ValueError(
+                f"n = {self.n} exceeds the k = {self.k} enumeration budget {BRUTEFORCE_MAX_N[self.k]}"
+            )
 
 
 def rk_series(k: int, order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
@@ -145,13 +160,9 @@ def rk_bruteforce(k: int, n: int) -> int:
     Each multiset of positive values v_1 >= ... >= v_j (j <= k slots, rest
     zeros) contributes (positions for the values) * 2^j sign patterns, so the
     enumeration touches partitions into squares rather than all of Z^k.
+    Refuses what RkRequest rejects, including n beyond the enumeration budget.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > BRUTEFORCE_MAX_N[k]:
-        raise ValueError(f"n = {n} exceeds the k = {k} enumeration budget {BRUTEFORCE_MAX_N[k]}")
+    RkRequest(k, n, RkMethod.BRUTE_FORCE)
     if n == 0:
         return 1
     memo: dict[tuple[int, int, int], int] = {}
@@ -184,20 +195,12 @@ def rk_recursion_route(k: int, n: int, rk_of: Callable[[int], int]) -> int:
 
     Picks the smallest odd prime p whose square divides n, strips p^(2*alpha)
     maximally, reads the base value from rk_of, and applies the recursion.
-    Raises ValueError when no odd prime square divides n (nothing to recurse on).
+    Raises ValueError when RkRequest rejects the route (no odd prime square
+    divides n, so there is nothing to recurse on).
     """
-    if k not in (3, 5):
-        raise ValueError("recursion route exists for k = 3 and k = 5 only")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    p = 0
-    alpha = 0
-    for q, e in factor(n).entries:
-        if q != 2 and e >= 2:
-            p, alpha = q, e // 2
-            break
-    if p == 0:
-        raise ValueError(f"no odd prime square divides {n}; recursion not applicable")
+    RkRequest(k, n, RkMethod.RECURSION)
+    p, e = _odd_square_factor(n)
+    alpha = e // 2
     n0 = n // p ** (2 * alpha)
     base = {n0: rk_of(n0)}
     if k == 3:

@@ -1,8 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
-from overq.cli import main
+import pytest
+
+from overq.cli import _applicable_methods, main
+from overq.squares import RkMethod
 
 from oracles import overpartitions_enumerated
 
@@ -114,6 +119,29 @@ def test_rk_invalid_combinations(capsys):
     assert code == 2  # enumeration budget
 
 
+def test_rk_route_requirements_are_stated(capsys):
+    code, _, err = run_cli(capsys, "rk", "--k", "4", "--n", "0", "--method", "formula")
+    assert code == 2
+    assert "formula route needs n >= 1" in err
+    code, _, err = run_cli(capsys, "rk", "--k", "3", "--n", "7", "--method", "recursion")
+    assert code == 2
+    assert "needs an odd prime square dividing n" in err
+
+
+def test_applicable_methods_are_exactly_the_routes_that_succeed(capsys):
+    for k in range(1, 9):
+        for n in range(61):
+            succeeded = set()
+            for method in RkMethod:
+                code, out, _ = run_cli(
+                    capsys, "rk", "--k", str(k), "--n", str(n), "--method", method.value, "--cross-check"
+                )
+                assert code in (0, 2), (k, n, method)
+                if code == 0:
+                    succeeded.add(method)
+            assert set(_applicable_methods(k, n)) == succeeded, (k, n)
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -152,19 +180,20 @@ def test_verify_all_small_budget_is_valid_jsonl(capsys):
     assert summary["pass"] + summary["skipped"] == len(rows) - 2
 
 
-def test_verify_parallel_output_matches_serial(capsys):
-    args = ["verify", "--all", "--max-arg", "400", "--max-prime", "5", "--max-alpha", "2"]
-    code_a, out_a, _ = run_cli(capsys, *args)
-    code_b, out_b, _ = run_cli(capsys, *args, "--jobs", "4")
-    assert code_a == code_b == 0
+# Streams of `verify --all` with their elapsed_ms fields removed, one at the
+# default prime and alpha bounds and one at a budget where most checks skip.
+GOLDEN = {
+    "verify_all_700.jsonl": ["--max-arg", "700"],
+    "verify_all_tiny.jsonl": ["--max-arg", "4", "--max-prime", "2", "--max-alpha", "1"],
+}
 
-    def strip(line):
-        row = json.loads(line)
-        if isinstance(row, dict):
-            row.pop("elapsed_ms", None)
-        return row
 
-    assert [strip(l) for l in out_a.splitlines()] == [strip(l) for l in out_b.splitlines()]
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_all_matches_golden_stream(capsys, name):
+    code, out, _ = run_cli(capsys, "verify", "--all", *GOLDEN[name])
+    assert code == 0
+    golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert re.sub(r', "elapsed_ms": \d+', "", out) == golden
 
 
 def test_list_checks(capsys):

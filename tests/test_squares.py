@@ -22,7 +22,13 @@ from oracles import rk_lattice_naive
 
 def test_rk_request_validation():
     RkRequest(4, 10, RkMethod.FORMULA)
-    RkRequest(3, 10, RkMethod.RECURSION)
+    RkRequest(3, 45, RkMethod.RECURSION)
+    with pytest.raises(ValueError):
+        RkRequest(3, 10, RkMethod.RECURSION)  # no odd prime square divides 10
+    with pytest.raises(ValueError):
+        RkRequest(4, 0, RkMethod.FORMULA)
+    with pytest.raises(ValueError):
+        RkRequest(8, BRUTEFORCE_MAX_N[8] + 1, RkMethod.BRUTE_FORCE)
     with pytest.raises(ValueError):
         RkRequest(3, 10, RkMethod.FORMULA)
     with pytest.raises(ValueError):
