@@ -7,23 +7,23 @@ rings and truncate to the shorter order, so "working through q^N" is the
 default mode of every computation built on top.
 
 Multiplication is an exact Cauchy product truncated at the shorter order.
-Three interchangeable backends compute it:
+Two interchangeable backends compute it, over the integers; a modular product
+is the integer product of the residues, reduced afterwards:
 
   * support-aware schoolbook, which skips zero coefficients and therefore
     makes products with theta-like or pentagonal-sparse operands cheap;
-  * packed-integer convolution (Kronecker substitution) for large dense exact
-    products, where a CPython inner loop would dominate the run time;
-  * numpy int64 convolution for modular rings with small moduli.
+  * packed-integer convolution (Kronecker substitution) for large dense
+    products, where a CPython inner loop would dominate the run time.
 
-All three produce identical coefficients and the test suite cross-checks them.
+Both produce identical coefficients and the test suite cross-checks them.
+Division a / s runs the power-series recurrence over the nonzero coefficients
+of s only, so dividing by a sparse series (theta, pentagonal) is cheap.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class NonInvertibleError(ArithmeticError):
@@ -165,14 +165,6 @@ def _convolve_exact(a: list[int], b: list[int], n: int) -> list[int]:
     return _convolve_packed(a, b, n)
 
 
-def _convolve_mod(a: list[int], b: list[int], n: int, m: int) -> list[int]:
-    # int64 is safe as long as a full row of products cannot overflow
-    if (m - 1) * (m - 1) * (n + 1) < 2**62:
-        arr = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (arr[: n + 1] % m).tolist()
-    return [c % m for c in _convolve_exact(a, b, n)]
-
-
 # ---------------------------------------------------------------------------
 # Series type
 # ---------------------------------------------------------------------------
@@ -272,8 +264,10 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a = list(self.coeffs[: n + 1])
         b = list(other.coeffs[: n + 1])
+        out = _convolve_exact(a, b, n)
         m = self.ring.modulus
-        out = _convolve_exact(a, b, n) if m is None else _convolve_mod(a, b, n, m)
+        if m is not None:
+            out = [c % m for c in out]
         return TruncatedSeries(self.ring, n, tuple(out))
 
     def __pow__(self, e: int) -> "TruncatedSeries":
@@ -293,36 +287,31 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.ring, self.order)
         return result
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse through the same order.
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Quotient a / s through the shorter order; s must have a unit constant term.
 
-        Standard recurrence b_0 = c_0^-1, b_k = -c_0^-1 * sum_{j>=1} c_j b_{k-j},
-        iterating only the nonzero c_j, so inversion by a sparse series (theta,
-        pentagonal) costs O(order * support) instead of O(order^2).
+        Recurrence b_k = s_0^-1 * (a_k - sum_{j>=1} s_j b_{k-j}), iterating only
+        the nonzero s_j, so division by a sparse series (theta, pentagonal)
+        costs O(order * support) instead of O(order^2).
         """
-        inv0 = self.ring.invert_unit(self.coeffs[0])
-        n = self.order
+        self._require_same_ring(other)
+        inv0 = self.ring.invert_unit(other.coeffs[0])
+        n = min(self.order, other.order)
         m = self.ring.modulus
-        support = [(j, cj) for j, cj in enumerate(self.coeffs) if j and cj]
+        support = [(j, cj) for j, cj in enumerate(other.coeffs[: n + 1]) if j and cj]
         b = [0] * (n + 1)
-        b[0] = self.ring.normalize(inv0)
-        if m is None:
-            for k in range(1, n + 1):
-                s = 0
-                for j, cj in support:
-                    if j > k:
-                        break
-                    s += cj * b[k - j]
-                b[k] = -inv0 * s  # inv0 is +-1 here
-        else:
-            for k in range(1, n + 1):
-                s = 0
-                for j, cj in support:
-                    if j > k:
-                        break
-                    s += cj * b[k - j]
-                b[k] = (-inv0 * s) % m
+        for k in range(n + 1):
+            acc = self.coeffs[k]
+            for j, cj in support:
+                if j > k:
+                    break
+                acc -= cj * b[k - j]
+            b[k] = inv0 * acc if m is None else inv0 * acc % m  # exact inv0 is +-1
         return TruncatedSeries(self.ring, n, tuple(b))
+
+    def inverse(self) -> "TruncatedSeries":
+        """Multiplicative inverse through the same order: one / self."""
+        return TruncatedSeries.one(self.ring, self.order) / self
 
     # -- reindexing operations ----------------------------------------------
 

@@ -2,17 +2,21 @@
 
 phi(q) = 1 + 2q + 2q^4 + 2q^9 + ... has coefficient 2 at every positive square.
 (q;q)_inf and (-q;q)_inf are the products of (1 - q^k) resp. (1 + q^k) over
-k >= 1.  The overpartition generating function is 1/phi(-q), equivalently
-(-q;q)_inf / (q;q)_inf; both constructions are always computed and compared,
-turning that identity into an integrity check that runs on every call.
+k >= 1.  (q;q)_inf is written down from Euler's pentagonal number theorem,
+E(q) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k, and
+(-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf = E(q^2) / E(q) is one sparse division.
+
+The overpartition generating function is built by two routes that are always
+compared, turning their agreement into an integrity check that runs on every
+call: the sparse inversion 1/phi(-q), and the quotient (-q;q)_inf / (q;q)_inf =
+E(q^2) / E(q)^2.  The routes share no intermediate series; they agree only
+through Gauss's identity phi(-q) = E(q)^2 / E(q^2).
 
 p4n3_product_form builds 8 * (q^2;q^2) * (q^4;q^4)^6 / (q;q)^8, which expands
 to sum_{n>=0} pbar(4n+3) q^n, where pbar counts overpartitions.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .series import EXACT, RingSpec, TruncatedSeries
 
@@ -39,47 +43,33 @@ def euler_product(
 ) -> TruncatedSeries:
     """Product of (1 - q^k), or (1 + q^k) with negated_argument, for k = 1..order.
 
-    Assembled by in-place multiplication with the sparse binomials, ascending k;
-    each step is a shifted add/subtract, O(order^2 / 2) ring operations total.
+    (q;q)_inf is the pentagonal series: sign (-1)^k at the exponents
+    k(3k-1)/2 and k(3k+1)/2 for k >= 1, about 1.6 * sqrt(order) nonzero terms.
+    (-q;q)_inf is E(q^2) / E(q), one division by that sparse series.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    n = order
-    m = ring.modulus
-    if m is not None and m < 2**62:
-        arr = np.zeros(n + 1, dtype=np.int64)
-        arr[0] = 1 % m
-        if negated_argument:
-            for k in range(1, n + 1):
-                arr[k:] = (arr[k:] + arr[: n + 1 - k]) % m
-        else:
-            for k in range(1, n + 1):
-                arr[k:] = (arr[k:] - arr[: n + 1 - k]) % m
-        return TruncatedSeries(ring, n, tuple(arr.tolist()))
-    c = [0] * (n + 1)
-    c[0] = 1
-    if negated_argument:
-        for k in range(1, n + 1):
-            c[k:] = [x + y for x, y in zip(c[k:], c[: n + 1 - k])]
-    else:
-        for k in range(1, n + 1):
-            c[k:] = [x - y for x, y in zip(c[k:], c[: n + 1 - k])]
-    if m is not None:
-        c = [x % m for x in c]
-    return TruncatedSeries(ring, n, tuple(c))
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= order:
+                cs[g] = (-1) ** k
+        k += 1
+    e = TruncatedSeries.make(ring, cs)
+    return e.substitute_power(2) / e if negated_argument else e
 
 
 def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     """Generating function of overpartition counts, coefficient n = pbar(n).
 
-    Computed by two independent routes, 1/phi(-q) and
-    (-q;q)_inf * (q;q)_inf^-1, which must agree coefficient for coefficient;
-    a mismatch aborts the run rather than returning questionable numbers.
+    Computed by two independent routes, 1/phi(-q) and (-q;q)_inf / (q;q)_inf,
+    which must agree coefficient for coefficient; a mismatch aborts the run
+    rather than returning questionable numbers.
     """
     via_theta = phi(order, ring).alternate_signs().inverse()
-    via_products = euler_product(order, ring, negated_argument=True) * euler_product(
-        order, ring
-    ).inverse()
+    via_products = euler_product(order, ring, negated_argument=True) / euler_product(order, ring)
     if via_theta != via_products:
         raise RouteMismatchError(
             "overpartition series routes disagree (theta inverse vs product quotient)"
@@ -90,11 +80,15 @@ def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
 def p4n3_product_form(order: int) -> TruncatedSeries:
     """8 * (q^2;q^2) * (q^4;q^4)^6 / (q;q)^8 over exact integers.
 
-    Term n equals the overpartition count of 4n+3.  Modular variants should be
-    taken by reduce_mod of this one canonical construction.
+    The numerator is a product of pentagonal-sparse factors, followed by eight
+    sparse divisions by (q;q).  Term n equals the overpartition count of 4n+3.
+    Modular variants should be taken by reduce_mod of this one canonical
+    construction.
     """
     e1 = euler_product(order)
-    rhs = e1.substitute_power(2) * e1.substitute_power(4) ** 6 * e1.inverse() ** 8
+    rhs = e1.substitute_power(2) * e1.substitute_power(4) ** 6
+    for _ in range(8):
+        rhs = rhs / e1
     return rhs.scale(8)
 
 

@@ -89,3 +89,17 @@ def naive_convolve(a: list[int], b: list[int], n: int) -> list[int]:
         for j, bj in enumerate(b[: n + 1 - i]):
             out[i + j] += ai * bj
     return out
+
+
+def euler_product_binomial(order: int, negated: bool) -> list[int]:
+    """Product of (1 - q^k), or (1 + q^k) when negated, for k = 1..order.
+
+    Multiplies in one binomial at a time, each step a shifted add or subtract,
+    O(order^2) operations: the definition, not the pentagonal theorem.
+    """
+    c = [0] * (order + 1)
+    c[0] = 1
+    sign = 1 if negated else -1
+    for k in range(1, order + 1):
+        c[k:] = [x + sign * y for x, y in zip(c[k:], c[: order + 1 - k])]
+    return c

@@ -265,3 +265,11 @@ def test_console_entry_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '"96"'
+
+
+def test_runs_without_numpy():
+    # overq is pure Python; importing the package and its entry points loads no numpy
+    code = "import sys, overq, overq.cli, overq.checks; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,9 +1,11 @@
 import json
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overq import series
 from overq.series import (
     EXACT,
     NonInvertibleError,
@@ -158,6 +160,12 @@ def test_inverse_rejects_non_units():
     assert (s * s.inverse()).coeffs == (1, 0)
 
 
+def test_division_examples():
+    # (1 + q) / (1 - q) = 1 + 2q + 2q^2 + ..., through the shorter order
+    assert (S([1, 1, 0, 0, 0]) / S([1, -1, 0, 0])).coeffs == (1, 2, 2, 2)
+    assert (S([3, 1], mod_ring(5)) / S([2, 0, 0], mod_ring(5))).coeffs == (4, 3)
+
+
 # -- substitute_power --------------------------------------------------------
 
 
@@ -295,6 +303,76 @@ def test_inverse_is_an_involution(c0, rest):
     assert a.inverse().inverse() == a
     n = a.order
     assert (a * a.inverse()).coeffs == TruncatedSeries.one(EXACT, n).coeffs
+
+
+# Divisors are often sparse, like the theta and pentagonal series they model.
+_sparse_tail = st.lists(st.one_of(st.just(0), st.integers(-(10**6), 10**6)), max_size=40)
+
+
+def _ring_and_constant(unit: bool):
+    """A ring drawn from EXACT and mod 5/8/9/40, with a constant term that is a unit or not."""
+
+    def constants(m):
+        ring = EXACT if m is None else mod_ring(m)
+        pool = [c for c in range(-80, 81) if (abs(c) == 1 if m is None else gcd(c, m) == 1) == unit]
+        return st.tuples(st.just(ring), st.sampled_from(pool))
+
+    return st.sampled_from([None, 5, 8, 9, 40]).flatmap(constants)
+
+
+@settings(max_examples=60)
+@given(_coeffs, _ring_and_constant(unit=True), _sparse_tail)
+def test_division_times_divisor_is_dividend(xs, ring_s0, rest):
+    ring, s0 = ring_s0
+    a, s = S(xs, ring), S([s0] + rest, ring)
+    n = min(a.order, s.order)
+    quotient = a / s
+    assert quotient.order == n
+    product = naive_convolve(list(quotient.coeffs), list(s.coeffs), n)
+    assert [ring.normalize(c) for c in product] == list(a.coeffs[: n + 1])
+
+
+@settings(max_examples=40)
+@given(_coeffs, _ring_and_constant(unit=False), _sparse_tail)
+def test_division_by_non_unit_is_refused(xs, ring_s0, rest):
+    ring, s0 = ring_s0
+    with pytest.raises(NonInvertibleError):
+        S(xs, ring) / S([s0] + rest, ring)
+
+
+def test_division_rejects_ring_mismatch():
+    with pytest.raises(ValueError):
+        S([1, 2]) / S([1, 1], mod_ring(5))
+    with pytest.raises(ValueError):
+        S([1, 2], mod_ring(5)) / S([1, 1], mod_ring(7))
+    with pytest.raises(ValueError):
+        S([1, 2], mod_ring(5)) / S([1, 1])
+
+
+@settings(max_examples=40)
+@given(_sparse_tail, _sparse_tail, st.sampled_from([None, 5, 8, 9, 40]))
+def test_mul_agrees_with_naive_on_both_sides_of_the_backend_boundary(xs, ys, m):
+    ring = EXACT if m is None else mod_ring(m)
+    a, b = S([1] + xs, ring), S([1] + ys, ring)
+    n = min(a.order, b.order)
+    ca, cb = list(a.coeffs[: n + 1]), list(b.coeffs[: n + 1])
+    want = naive_convolve(ca, cb, n)
+    if m is not None:
+        want = [c % m for c in want]
+    pairs = sum(1 for c in ca if c) * sum(1 for c in cb if c)
+    packed_calls = []
+
+    def recording_packed(*args):
+        packed_calls.append(args)
+        return _convolve_packed(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_convolve_packed", recording_packed)
+        for limit, packed in ((pairs, False), (pairs - 1, True)):
+            mp.setattr(series, "_SCHOOLBOOK_PAIR_LIMIT", limit)
+            packed_calls.clear()
+            assert list((a * b).coeffs) == want, limit
+            assert bool(packed_calls) == packed, limit
 
 
 @settings(max_examples=60)

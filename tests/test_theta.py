@@ -12,6 +12,7 @@ from overq.theta import (
 
 from oracles import (
     distinct_partitions_enumerated,
+    euler_product_binomial,
     overpartitions_counted,
     overpartitions_enumerated,
 )
@@ -69,6 +70,16 @@ def test_euler_product_has_pentagonal_support():
             assert c == 1
         else:
             assert c == pentagonal.get(k, 0)
+
+
+def test_euler_product_matches_binomial_assembly():
+    rings = (EXACT, *(mod_ring(m) for m in (5, 8, 9, 40)))
+    for order in range(201):
+        for negated in (False, True):
+            want = euler_product_binomial(order, negated)
+            for ring in rings:
+                got = euler_product(order, ring, negated_argument=negated)
+                assert got == TruncatedSeries.make(ring, want), (order, negated, ring)
 
 
 def test_euler_product_modular_matches_exact_reduction():
