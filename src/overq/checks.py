@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 from .arith import is_square, is_twice_square, primes_up_to
 from .reporting import STATUS_FAIL, Budget, CheckReport, finalize_report, summary_counts
-from .series import EXACT, RingSpec, TruncatedSeries, mod_ring
+from .series import TruncatedSeries, mod_ring
 from .squares import r3_recursion, r4_formula, r5_recursion, r8_formula, rk_bruteforce, rk_series
 from .theta import euler_product, overpartition_gf, p4n3_product_form, phi
 
@@ -33,8 +33,12 @@ _MAX_RECORDED_COUNTEREXAMPLES = 100
 class SeriesBank:
     """Memoized construction of the shared base series for one budget.
 
-    Each series is built by the first checker that asks for it and shared by
-    every later one.
+    Each series is built once, by the first checker that asks for it, and
+    shared by every later one.  A residue series is a reduction: the series
+    mod m is reduce_mod(m) of the exact series of the same kind and order,
+    which is built first when it is missing.  The one exception is the
+    overpartition series mod 40, built on its own by the theta route (see
+    overpartition).
     """
 
     def __init__(self, budget: Budget) -> None:
@@ -46,22 +50,34 @@ class SeriesBank:
             self._cache[key] = build()
         return self._cache[key]
 
-    @staticmethod
-    def _ring(modulus: int | None) -> RingSpec:
-        return EXACT if modulus is None else mod_ring(modulus)
+    # The modular accessors reach the exact entry through _get rather than the
+    # public methods, so that a modular request is one bank access, not two
+    # nested ones.
 
     def overpartition(self, modulus: int | None = None) -> TruncatedSeries:
         order = self.budget.max_argument
-        return self._get(
-            ("gf", modulus, order), lambda: overpartition_gf(order, self._ring(modulus))
-        )
+        exact = lambda: overpartition_gf(order)
+        if modulus is None:
+            build = exact
+        elif modulus == 40:
+            # conj-40 compares this series with the CRT of the mod-8 and mod-5
+            # reductions of the exact series.  Were it a reduction too, that
+            # comparison would be a tautology, so it is built on its own by the
+            # theta route, 1/phi(-q) over Z/40.
+            build = lambda: phi(order, mod_ring(40)).alternate_signs().inverse()
+        else:
+            build = lambda: self._get(("gf", None, order), exact).reduce_mod(modulus)
+        return self._get(("gf", modulus, order), build)
 
     def rk(self, k: int, modulus: int | None = None, order: int | None = None) -> TruncatedSeries:
         if order is None:
             order = self.budget.max_argument
-        return self._get(
-            ("rk", k, modulus, order), lambda: rk_series(k, order, self._ring(modulus))
-        )
+        exact = lambda: rk_series(k, order)
+        if modulus is None:
+            build = exact
+        else:
+            build = lambda: self._get(("rk", k, None, order), exact).reduce_mod(modulus)
+        return self._get(("rk", k, modulus, order), build)
 
     def p4n3(self, order: int) -> TruncatedSeries:
         return self._get(("p4n3", order), lambda: p4n3_product_form(order))
@@ -579,11 +595,13 @@ def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 )
 def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     lim = min(budget.max_argument, 1000)
+    r4 = [0] + [r4_formula(n) for n in range(1, lim + 1)]
+    r8 = [0] + [r8_formula(n) for n in range(1, lim + 1)]
     for p in _odd_primes(budget.max_prime):
         p3 = p**3
         for n in range(1, lim + 1):
             r4_pn = r4_formula(p * n) % p
-            r4_n = r4_formula(n) % p
+            r4_n = r4[n] % p
             t.expect(
                 r4_pn == r4_n,
                 {"k": 4, "p": p, "n": n},
@@ -591,7 +609,7 @@ def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
                 "r4(pn) == r4(n) (mod p)",
             )
             r8_pn = r8_formula(p * n) % p3
-            r8_n = r8_formula(n) % p3
+            r8_n = r8[n] % p3
             t.expect(
                 r8_pn == r8_n,
                 {"k": 8, "p": p, "n": n},

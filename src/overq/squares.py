@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb, isqrt
 from typing import Callable, Mapping
 
@@ -93,8 +94,13 @@ def r8_formula(n: int) -> int:
     return 16 * s if n % 2 == 0 else -16 * s
 
 
+@lru_cache(maxsize=1024)
 def _geometric_sum(base: int, terms: int) -> int:
-    """1 + base + ... + base^(terms-1), exactly; 0 for terms <= 0."""
+    """1 + base + ... + base^(terms-1), exactly; 0 for terms <= 0.
+
+    Cached: the family sweeps ask for the same few (base, terms) pairs at
+    every grid point.
+    """
     out = 0
     power = 1
     for _ in range(terms):

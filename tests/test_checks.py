@@ -13,6 +13,7 @@ from overq.checks import (
 )
 from overq.reporting import Budget, finalize_report, summary_counts
 from overq.series import EXACT, TruncatedSeries, mod_ring
+from overq.theta import overpartition_gf
 
 from oracles import overpartitions_counted, rk_lattice_naive
 
@@ -329,3 +330,40 @@ def test_stop_on_first_halts_the_stream():
     bank2 = _poisoned_bank(budget)
     reports = list(iter_check_reports(["thm-main", "replay-phi5"], budget, bank=bank2))
     assert [r.status for r in reports] == ["fail", "pass"]
+
+
+# -- series bank --------------------------------------------------------------------
+
+
+def test_bank_builds_each_series_once_per_budget(monkeypatch):
+    gf_calls, rk_calls = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "overpartition_gf", counted(gf_calls, checks.overpartition_gf))
+    monkeypatch.setattr(checks, "rk_series", counted(rk_calls, checks.rk_series))
+    run_checks(all_check_ids(), POISON_BUDGET)
+    assert gf_calls == [(300,)]  # exact only: residues are reductions, mod 40 is theta-only
+    assert sorted(rk_calls) == [(3, 300), (4, 300), (5, 300), (8, 300)]
+
+
+def test_bank_residue_series_are_reductions_of_the_exact_ones(bank):
+    exact = bank.overpartition(None)
+    for m in (5, 8, 9):
+        assert bank.overpartition(m) == exact.reduce_mod(m)
+    assert bank.rk(3, 5) == bank.rk(3, None).reduce_mod(5)
+    assert bank.rk(5, 9) == bank.rk(5, None).reduce_mod(9)
+
+
+def test_bank_mod_40_series_does_not_read_the_exact_one():
+    bank = _poisoned_bank(POISON_BUDGET, ("gf", None, 300))
+    assert bank.overpartition(40) == overpartition_gf(300, mod_ring(40))
+    assert bank.overpartition(5) != overpartition_gf(300, mod_ring(5))  # a reduction does
+    # so a corrupt exact series shows in conj-40 as a broken CRT cross-check
+    (rep,), _ = run_checks(["conj-40"], POISON_BUDGET, bank=bank)
+    assert rep.status == "fail"

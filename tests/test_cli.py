@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from overq import cli
 from overq.cli import _applicable_methods, main
 from overq.squares import RkMethod
 
@@ -117,6 +118,31 @@ def test_rk_invalid_combinations(capsys):
     assert code == 2  # no odd prime square divides 30
     code, _, _ = run_cli(capsys, "rk", "--k", "8", "--n", "501", "--method", "bruteforce")
     assert code == 2  # enumeration budget
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, dest, expensive",
+    [
+        (["verify", "--all", "--max-arg"], "max_arg", "iter_check_reports"),
+        (["expand", "hs43-rhs", "--terms"], "terms", "build_named_series"),
+        (["rk", "--k", "8", "--method", "series", "--n"], "n", "_compute_rk"),
+    ],
+)
+def test_size_flags_are_capped_before_any_work(capsys, monkeypatch, argv, dest, expensive):
+    def start(*args, **kwargs):
+        raise _WorkStarted
+
+    monkeypatch.setattr(cli, expensive, start)
+    limit = cli.SIZE_LIMITS[dest]
+    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    assert (code, out) == (2, "")
+    assert f"must be <= {limit}, got {limit + 1}" in err
+    with pytest.raises(_WorkStarted):  # the limit itself is accepted
+        main(argv + [str(limit)])
 
 
 def test_rk_route_requirements_are_stated(capsys):
