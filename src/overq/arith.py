@@ -62,25 +62,6 @@ class Factorization:
                 raise ValueError(f"exponent of {p} must be >= 1, got {e}")
             last = p
 
-    def value(self) -> int:
-        """The factored integer (1 for the empty product)."""
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.entries:
-            if q == p:
-                return e
-        return 0
-
-    def divisor_count(self) -> int:
-        out = 1
-        for _, e in self.entries:
-            out *= e + 1
-        return out
-
 
 def factor(n: int) -> Factorization:
     """Factor n >= 1 by trial division; factor(1) has no entries."""
@@ -162,16 +143,3 @@ def is_twice_square(n: int) -> bool:
     if n % 2 != 0:
         return False
     return is_square(n // 2)
-
-
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n, for n >= 1 and prime p."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e

@@ -148,14 +148,14 @@ class CheckDef:
     skip_reason: str | None = None
 
 
-_CHECKS: list[CheckDef] = []
+REGISTRY: dict[str, CheckDef] = {}
 
 
 def _check(check_id: str, statement: str, skip_reason: str | None = None):
     """Register the decorated checker; registration order is report order."""
 
     def register(fn):
-        _CHECKS.append(CheckDef(check_id, statement, fn, skip_reason))
+        REGISTRY[check_id] = CheckDef(check_id, statement, fn, skip_reason)
         return fn
 
     return register
@@ -705,16 +705,13 @@ def _check_r5_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 # Registry and runner
 # ---------------------------------------------------------------------------
 
-REGISTRY: dict[str, CheckDef] = {c.check_id: c for c in _CHECKS}
-
-
 def all_check_ids() -> list[str]:
-    return [c.check_id for c in _CHECKS]
+    return list(REGISTRY)
 
 
 def coverage_manifest() -> dict[str, str]:
     """check_id -> the congruence or identity it sweeps."""
-    return {c.check_id: c.statement for c in _CHECKS}
+    return {cid: c.statement for cid, c in REGISTRY.items()}
 
 
 def iter_check_reports(

@@ -14,7 +14,7 @@ import random
 import sys
 
 from .checks import REGISTRY, all_check_ids, coverage_manifest, iter_check_reports
-from .reporting import STATUS_FAIL, Budget
+from .reporting import Budget, summary_counts
 from .series import EXACT, mod_ring
 from .squares import (
     RkMethod,
@@ -36,11 +36,21 @@ EXIT_USAGE = 2
 _SPOT_CHECK_WINDOW = 512
 _SPOT_CHECK_COUNT = 16
 
-# The largest value each size flag accepts, by argparse dest.  Each flag sets a
-# series order.  At 10^5 the slowest command, `expand hs43-rhs`, takes about a
-# minute and a half on a 2-core VM with Python 3.11, and `verify --all` about
-# 40 s; larger values would run on for many minutes instead of failing fast.
-SIZE_LIMITS = {"max_arg": 100_000, "terms": 100_001, "n": 100_000}
+# The largest value each size flag accepts, by argparse dest.  max_arg, terms
+# and n set a series order.  At 10^5 the slowest command, `expand hs43-rhs`,
+# takes about a minute and a half on a 2-core VM with Python 3.11, and
+# `verify --all` about 40 s; larger values would run on for many minutes
+# instead of failing fast.  max_prime and max_alpha size the prime-power grids,
+# and with them the minimal arguments p^e of skipped points, which str()
+# refuses past 4,300 digits: at both caps the longest has 1,131 digits, and
+# `verify --all --max-arg 100000` takes about 70 s.
+SIZE_LIMITS = {
+    "max_arg": 100_000,
+    "terms": 100_001,
+    "n": 100_000,
+    "max_prime": 1_000,
+    "max_alpha": 20,
+}
 
 
 def _emit(obj) -> None:
@@ -148,15 +158,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     manifest = coverage_manifest()
     _emit({"manifest": {cid: manifest[cid] for cid in ids}})
-    failures = 0
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    reports = []
     for report in iter_check_reports(ids, budget, stop_on_first=args.stop_on_first):
-        counts[report.status] += 1
-        if report.status == STATUS_FAIL:
-            failures += 1
+        reports.append(report)
         _emit(report.to_json_dict())
+    counts = summary_counts(reports)
     _emit(counts)
-    return EXIT_COUNTEREXAMPLE if failures else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if counts["fail"] else EXIT_OK
 
 
 def _cmd_list_checks(args: argparse.Namespace) -> int:
@@ -175,9 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="print coefficients of a named series as JSON lines")
     p_expand.add_argument("series", choices=SERIES_NAMES)
     p_expand.add_argument("--terms", type=int, required=True, help="number of coefficients, from q^0")
-    group = p_expand.add_mutually_exclusive_group()
-    group.add_argument("--mod", type=int, help="construct with residue coefficients mod m")
-    group.add_argument("--exact", action="store_true", help="force exact big-integer mode (default)")
+    p_expand.add_argument("--mod", type=int, help="residue coefficients mod m (default: exact)")
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_rk = sub.add_parser("rk", help="print r_k(n) computed by the requested route")

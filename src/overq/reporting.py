@@ -8,7 +8,6 @@ exceed 64 bits well inside the default budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 STATUS_PASS = "pass"
@@ -69,9 +68,6 @@ class CheckReport:
             d["reason"] = self.reason
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def finalize_report(
     check_id: str,
@@ -113,4 +109,4 @@ def summary_counts(reports) -> dict:
     counts = {STATUS_PASS: 0, STATUS_FAIL: 0, STATUS_SKIPPED: 0}
     for r in reports:
         counts[r.status] += 1
-    return {"pass": counts[STATUS_PASS], "fail": counts[STATUS_FAIL], "skipped": counts[STATUS_SKIPPED]}
+    return counts

@@ -22,8 +22,8 @@ of s only, so dividing by a sparse series (theta, pentagonal) is cheap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from math import gcd
 
 
 class NonInvertibleError(ArithmeticError):
@@ -57,10 +57,10 @@ class RingSpec:
             if x in (1, -1):
                 return x
             raise NonInvertibleError(f"{x} is not a unit over the exact integers")
-        g, inv, _ = _ext_gcd(x % self.modulus, self.modulus)
+        g = gcd(x, self.modulus)
         if g != 1:
             raise NonInvertibleError(f"{x} is not a unit mod {self.modulus} (gcd {g})")
-        return inv % self.modulus
+        return pow(x, -1, self.modulus)
 
     def __repr__(self) -> str:
         return "RingSpec(exact)" if self.modulus is None else f"RingSpec(mod {self.modulus})"
@@ -71,21 +71,6 @@ EXACT = RingSpec()
 
 def mod_ring(m: int) -> RingSpec:
     return RingSpec(m)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +196,7 @@ class TruncatedSeries:
     def one(cls, ring: RingSpec, order: int) -> "TruncatedSeries":
         return cls.make(ring, [1], order=order)
 
-    @classmethod
-    def zero(cls, ring: RingSpec, order: int) -> "TruncatedSeries":
-        return cls.make(ring, [0], order=order)
-
     # -- basics -------------------------------------------------------------
-
-    def coefficient(self, n: int) -> int:
-        if n < 0 or n > self.order:
-            raise ValueError(f"coefficient {n} outside known range 0..{self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.ring, order, self.coeffs[: order + 1])
 
     def _require_same_ring(self, other: "TruncatedSeries") -> None:
         if self.ring != other.ring:
@@ -244,16 +215,6 @@ class TruncatedSeries:
         norm = self.ring.normalize
         cs = tuple(norm(x + y) for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
         return TruncatedSeries(self.ring, n, cs)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_ring(other)
-        n = min(self.order, other.order)
-        norm = self.ring.normalize
-        cs = tuple(norm(x - y) for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        return TruncatedSeries(self.ring, n, cs)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self.scale(-1)
 
     def scale(self, c: int) -> "TruncatedSeries":
         norm = self.ring.normalize
@@ -354,35 +315,3 @@ class TruncatedSeries:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
         return TruncatedSeries(mod_ring(m), self.order, tuple(c % m for c in self.coeffs))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"ring": self.ring.kind}
-        if self.ring.is_modular:
-            d["modulus"] = self.ring.modulus
-        d["order"] = self.order
-        d["coeffs"] = [str(c) for c in self.coeffs]
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncatedSeries":
-        kind = d["ring"]
-        if kind == "exact":
-            ring = EXACT
-        elif kind == "mod":
-            ring = mod_ring(int(d["modulus"]))
-        else:
-            raise ValueError(f"unknown ring kind {kind!r}")
-        coeffs = [int(c) for c in d["coeffs"]]
-        order = int(d["order"])
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient count does not match order")
-        return cls(ring, order, tuple(ring.normalize(c) for c in coeffs))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "TruncatedSeries":
-        return cls.from_json_dict(json.loads(s))

@@ -3,9 +3,9 @@
     python tests/mutation/run.py
 
 A mutant is a source file, an exact text that occurs in it once, and the text
-that replaces it.  For each mutant the runner copies src/, tests/ and
-pyproject.toml into a temporary directory, applies the mutant there and runs
-the tier-1 command with -x.  A mutant is killed when the suite fails.  The
+that replaces it.  For each mutant the runner copies src/, tests/,
+pyproject.toml and README.md into a temporary directory, applies the mutant
+there and runs the tier-1 command with -x.  A mutant is killed when the suite fails.  The
 unmutated copy is run first and must pass.  The run exits 1 if a mutant
 survives or if an old text no longer occurs exactly once (the source moved on
 and the mutant must be rewritten), else 0.  A surviving mutant means a test is
@@ -85,6 +85,42 @@ MUTANTS = [
         '("gf", None, order), exact).reduce_mod(modulus)',
         '("gf", None, order), exact).reduce_mod(2 * modulus)',
     ),
+    Mutant(
+        "crt-sign",
+        "src/overq/checks.py",
+        "(r2 - r1)",
+        "(r2 + r1)",
+    ),
+    Mutant(
+        "alternate-signs-parity",
+        "src/overq/series.py",
+        "k % 2 == 0",
+        "k % 2 == 1",
+    ),
+    Mutant(
+        "r3-legendre-sign",
+        "src/overq/squares.py",
+        "legendre(-n, p)",
+        "legendre(n, p)",
+    ),
+    Mutant(
+        "tally-cap-off-by-one",
+        "src/overq/checks.py",
+        "if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:",
+        "if len(self.counterexamples) <= _MAX_RECORDED_COUNTEREXAMPLES:",
+    ),
+    Mutant(
+        "invert-unit-skips-gcd",
+        "src/overq/series.py",
+        "if g != 1:",
+        "if g == 0:",
+    ),
+    Mutant(
+        "verify-exit-reads-wrong-count",
+        "src/overq/cli.py",
+        'counts["fail"]',
+        'counts["skipped"]',
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors"]
@@ -94,7 +130,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):  # tests/test_readme.py runs the README
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def stale(mutant: Mutant) -> bool:

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from overq.arith import (
@@ -10,14 +12,12 @@ from overq.arith import (
     is_twice_square,
     legendre,
     primes_up_to,
-    valuation,
 )
 
 
 def test_factor_one_is_empty_product():
     f = factor(1)
     assert f.entries == ()
-    assert f.value() == 1
 
 
 def test_factor_12():
@@ -52,11 +52,11 @@ def test_factorization_invariants_enforced():
 
 def test_factor_reconstructs_everything_up_to_10000():
     for n in range(1, 10_001):
-        f = factor(n)
-        assert f.value() == n
+        entries = factor(n).entries
+        assert prod(p**e for p, e in entries) == n
         ds = divisors(n)
         assert all(n % d == 0 for d in ds)
-        assert len(ds) == f.divisor_count()
+        assert len(ds) == prod(e + 1 for _, e in entries)
 
 
 def test_divisors_filtered_examples():
@@ -117,26 +117,6 @@ def test_square_counts_in_range(limit):
     twice = sum(1 for n in range(limit + 1) if is_twice_square(n))
     assert squares == isqrt(limit) + 1
     assert twice == isqrt(limit // 2) + 1
-
-
-def test_valuation_examples():
-    assert valuation(40, 2) == 3
-    assert valuation(7, 5) == 0
-    assert valuation(5**7 * 3, 5) == 7
-
-
-def test_valuation_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        valuation(0, 2)
-    with pytest.raises(ValueError):
-        valuation(10, 4)
-
-
-def test_valuation_matches_factor_exponent():
-    for n in range(1, 2_000):
-        f = factor(n)
-        for p in (2, 3, 5, 7, 11):
-            assert valuation(n, p) == f.exponent_of(p)
 
 
 def test_primes_up_to_small():

@@ -119,6 +119,14 @@ def test_conj40_crt_consistency(bank):
     assert rep.parameters["alpha_max"] == 2  # 16 * 35 = 560 <= 700 < 4^3 * 35
 
 
+def test_crt_recombines_every_residue_pair():
+    # conj-40 only ever recombines (0, 0), so the other 39 pairs are pinned here
+    for r1 in range(8):
+        for r2 in range(5):
+            x = checks._crt(r1, 8, r2, 5)
+            assert 0 <= x < 40 and (x % 8, x % 5) == (r1, r2), (r1, r2)
+
+
 def test_mod8_criterion_and_exemptions(bank):
     (rep,), _ = run_checks(["mod8-criterion"], SMALL, bank=bank)
     assert rep.status == "pass"

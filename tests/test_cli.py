@@ -48,7 +48,7 @@ def test_expand_overpartition_mod_40_hits_zero_at_35(capsys):
 
 
 def test_expand_agrees_with_enumeration(capsys):
-    code, out, _ = run_cli(capsys, "expand", "overpartition", "--terms", "21", "--exact")
+    code, out, _ = run_cli(capsys, "expand", "overpartition", "--terms", "21")
     assert code == 0
     got = [int(r["coeff"]) for r in jsonl(out)]
     assert got == [overpartitions_enumerated(n) for n in range(21)]
@@ -60,8 +60,6 @@ def test_expand_rejects_bad_flags(capsys):
     code, _, _ = run_cli(capsys, "expand", "overpartition", "--terms", "5", "--mod", "1")
     assert code == 2
     code, _, _ = run_cli(capsys, "expand", "nonsense", "--terms", "5")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "expand", "phi", "--terms", "5", "--mod", "7", "--exact")
     assert code == 2
     code, _, _ = run_cli(capsys, "expand", "phi", "--terms", "5", "--frobnicate")
     assert code == 2
@@ -130,6 +128,8 @@ class _WorkStarted(Exception):
         (["verify", "--all", "--max-arg"], "max_arg", "iter_check_reports"),
         (["expand", "hs43-rhs", "--terms"], "terms", "build_named_series"),
         (["rk", "--k", "8", "--method", "series", "--n"], "n", "_compute_rk"),
+        (["verify", "--all", "--max-prime"], "max_prime", "iter_check_reports"),
+        (["verify", "--all", "--max-alpha"], "max_alpha", "iter_check_reports"),
     ],
 )
 def test_size_flags_are_capped_before_any_work(capsys, monkeypatch, argv, dest, expensive):
