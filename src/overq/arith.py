@@ -1,13 +1,16 @@
 """Exact integer utilities: factorization, divisors, Legendre symbol, square tests.
 
 Everything here is deterministic trial-division arithmetic sized for desk-scale
-arguments (up to ~1e8).  No probabilistic primality, no floating point.
+arguments (up to ~1e8), plus one sieve that tabulates divisor sums for every
+n up to a limit at once.  No probabilistic primality, no floating point.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -113,6 +116,25 @@ def divisors_filtered(n: int, exclude_multiples_of: int = 0) -> list[int]:
     if exclude_multiples_of == 0:
         return ds
     return [d for d in ds if d % exclude_multiples_of != 0]
+
+
+def divisor_sums(limit: int, weight: Callable[[int], int]) -> array:
+    """out[n] = sum of weight(d) over the divisors d of n, for 0 <= n <= limit.
+
+    A sieve: each d adds its weight to its multiples d, 2d, 3d, ..., about
+    limit * ln(limit) additions in all; out[0] is 0.  Entries are signed 64-bit
+    integers, so a sum outside that range raises OverflowError instead of
+    wrapping.
+    """
+    if limit < 0:
+        raise ValueError(f"need limit >= 0, got {limit}")
+    out = array("q", [0]) * (limit + 1)
+    for d in range(1, limit + 1):
+        w = weight(d)
+        if w:
+            for m in range(d, limit + 1, d):
+                out[m] += w
+    return out
 
 
 def legendre(a: int, p: int) -> int:

@@ -24,7 +24,16 @@ from typing import Callable, Iterator
 from .arith import is_square, is_twice_square, primes_up_to
 from .reporting import STATUS_FAIL, Budget, CheckReport, finalize_report, summary_counts
 from .series import TruncatedSeries, mod_ring
-from .squares import r3_recursion, r4_formula, r5_recursion, r8_formula, rk_bruteforce, rk_series
+from .squares import (
+    r3_recursion,
+    r4_formula,
+    r4_table,
+    r5_recursion,
+    r8_formula,
+    r8_table,
+    rk_bruteforce_table,
+    rk_series,
+)
 from .theta import euler_product, overpartition_gf, p4n3_product_form, phi
 
 _MAX_RECORDED_COUNTEREXAMPLES = 100
@@ -573,8 +582,9 @@ def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     brute_grid = ((3, min(M, 300)), (4, min(M, 300)), (5, min(M, 100)), (8, min(M, 100)))
     for k, lim in brute_grid:
         series = bank.rk(k, None) if k in (3, 5) else bank.rk(k, None, order=lim_formula)
+        counts = rk_bruteforce_table(k, lim)
         for n in range(0, lim + 1):
-            b = rk_bruteforce(k, n)
+            b = counts[n]
             s = series.coeffs[n]
             t.expect(
                 b == s,
@@ -595,12 +605,16 @@ def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 )
 def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     lim = min(budget.max_argument, 1000)
-    r4 = [0] + [r4_formula(n) for n in range(1, lim + 1)]
-    r8 = [0] + [r8_formula(n) for n in range(1, lim + 1)]
-    for p in _odd_primes(budget.max_prime):
+    primes = _odd_primes(budget.max_prime)
+    # one sieve per formula covers every pn; each side is read from the table,
+    # so r(pn) is not derived from r(n) and the congruence stays a test
+    size = lim * max(primes, default=1)
+    r4 = r4_table(size)
+    r8 = r8_table(size)
+    for p in primes:
         p3 = p**3
         for n in range(1, lim + 1):
-            r4_pn = r4_formula(p * n) % p
+            r4_pn = r4[p * n] % p
             r4_n = r4[n] % p
             t.expect(
                 r4_pn == r4_n,
@@ -608,7 +622,7 @@ def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
                 {"r4_pn_mod_p": r4_pn, "r4_n_mod_p": r4_n},
                 "r4(pn) == r4(n) (mod p)",
             )
-            r8_pn = r8_formula(p * n) % p3
+            r8_pn = r8[p * n] % p3
             r8_n = r8[n] % p3
             t.expect(
                 r8_pn == r8_n,

@@ -11,9 +11,11 @@ Two interchangeable backends compute it, over the integers; a modular product
 is the integer product of the residues, reduced afterwards:
 
   * support-aware schoolbook, which skips zero coefficients and therefore
-    makes products with theta-like or pentagonal-sparse operands cheap;
-  * packed-integer convolution (Kronecker substitution) for large dense
-    products, where a CPython inner loop would dominate the run time.
+    makes exact products with theta-like or pentagonal-sparse operands cheap;
+  * packed-integer convolution (Kronecker substitution) for large dense exact
+    products, where a CPython inner loop would dominate the run time, and for
+    every residue product: residues pack into narrow slots, so one big-integer
+    multiply is cheap at any density.
 
 Both produce identical coefficients and the test suite cross-checks them.
 Division a / s runs the power-series recurrence over the nonzero coefficients
@@ -78,7 +80,7 @@ def mod_ring(m: int) -> RingSpec:
 # ---------------------------------------------------------------------------
 
 # Above this many nonzero coefficient pairs, packed-integer convolution beats
-# the Python schoolbook loop comfortably.
+# the Python schoolbook loop comfortably on exact operands.
 _SCHOOLBOOK_PAIR_LIMIT = 1_500_000
 
 
@@ -100,12 +102,16 @@ def _convolve_support(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _pack(cs: list[int], nbytes: int) -> int:
-    buf = bytearray(nbytes * len(cs))
+def _pack(cs: list[int], nbytes: int) -> tuple[int, int]:
+    """The positive part of cs and the magnitudes of its negative part, slot by slot."""
+    pos = bytearray(nbytes * len(cs))
+    neg = bytearray(nbytes * len(cs))
     for i, v in enumerate(cs):
-        if v:
-            buf[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
+        if v > 0:
+            pos[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
+        elif v < 0:
+            neg[i * nbytes : (i + 1) * nbytes] = (-v).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
 
 
 def _unpack(v: int, nbytes: int, count: int) -> list[int]:
@@ -122,17 +128,15 @@ def _convolve_packed(a: list[int], b: list[int], n: int) -> list[int]:
     handled by splitting each operand into nonnegative and negative parts, so
     every packed slot stays carry-free.
     """
-    amax = max((abs(x) for x in a), default=0)
-    bmax = max((abs(x) for x in b), default=0)
+    amax = max(map(abs, a), default=0)
+    bmax = max(map(abs, b), default=0)
     if amax == 0 or bmax == 0:
         return [0] * (n + 1)
     # slot bound: sums of (n+1) products, twice (pos+pos and neg+neg share a slot)
     slot_bits = amax.bit_length() + bmax.bit_length() + (n + 1).bit_length() + 2
     nbytes = (slot_bits + 7) // 8
-    ap = _pack([x if x > 0 else 0 for x in a], nbytes)
-    an = _pack([-x if x < 0 else 0 for x in a], nbytes)
-    bp = _pack([x if x > 0 else 0 for x in b], nbytes)
-    bn = _pack([-x if x < 0 else 0 for x in b], nbytes)
+    ap, an = _pack(a, nbytes)
+    bp, bn = _pack(b, nbytes)
     pos = ap * bp + an * bn
     neg = ap * bn + an * bp
     cpos = _unpack(pos, nbytes, n + 1)
@@ -225,10 +229,11 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a = list(self.coeffs[: n + 1])
         b = list(other.coeffs[: n + 1])
-        out = _convolve_exact(a, b, n)
         m = self.ring.modulus
-        if m is not None:
-            out = [c % m for c in out]
+        if m is None:
+            out = _convolve_exact(a, b, n)
+        else:
+            out = [c % m for c in _convolve_packed(a, b, n)]
         return TruncatedSeries(self.ring, n, tuple(out))
 
     def __pow__(self, e: int) -> "TruncatedSeries":

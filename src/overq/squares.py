@@ -4,9 +4,10 @@ Four independent routes, kept deliberately redundant so each formula stays
 falsifiable against the others:
 
   * series: coefficient n of phi(q)^k, the canonical route;
-  * closed divisor-sum formulas for k = 4 and k = 8;
+  * closed divisor-sum formulas for k = 4 and k = 8, per n by trial division
+    or for every n up to a limit by one sieve (r4_table, r8_table);
   * prime-power recursions for k = 3 and k = 5, evaluated with exact integer
-    geometric sums (never by dividing powers);
+    geometric sums (never by dividing powers), computed once per (p, alpha);
   * a descending-tuple lattice enumerator for oracle duty on small arguments.
 
 Conventions: r_k(0) = 1 (the zero tuple); signs and zeros count, so r_1(4) = 2
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb, isqrt
+from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .arith import divisors, divisors_filtered, factor, is_prime, legendre
+from .arith import divisor_sums, divisors, factor, is_prime
 from .series import EXACT, RingSpec, TruncatedSeries
 from .theta import phi
 
@@ -79,34 +81,95 @@ def rk_series(k: int, order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     return phi(order, ring) ** k
 
 
+# The two closed formulas, r_k(n) = scale_k(n, sum of w_k(d) over d | n):
+#   r_4(n) = 8 * sum of w_4(d), with w_4(d) = d when 4 does not divide d, else 0;
+#   r_8(n) = 16 * (-1)^n * sum of w_8(d), with w_8(d) = (-1)^d * d^3.
+# Stated once here and shared by the per-n route and the tables.
+
+
+def _r4_weight(d: int) -> int:
+    return d if d % 4 != 0 else 0
+
+
+def _r8_weight(d: int) -> int:
+    return d**3 if d % 2 == 0 else -(d**3)
+
+
+def _r4_scale(n: int, s: int) -> int:
+    return 8 * s
+
+
+def _r8_scale(n: int, s: int) -> int:
+    return 16 * s if n % 2 == 0 else -16 * s
+
+
 def r4_formula(n: int) -> int:
     """r_4(n) = 8 * sum of divisors of n not divisible by 4."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return 8 * sum(divisors_filtered(n, 4))
+    return _r4_scale(n, sum(map(_r4_weight, divisors(n))))
 
 
 def r8_formula(n: int) -> int:
     """r_8(n) = 16 * (-1)^n * sum over d | n of (-1)^d d^3."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = sum(d**3 if d % 2 == 0 else -(d**3) for d in divisors(n))
-    return 16 * s if n % 2 == 0 else -16 * s
+    return _r8_scale(n, sum(map(_r8_weight, divisors(n))))
 
 
-@lru_cache(maxsize=1024)
-def _geometric_sum(base: int, terms: int) -> int:
-    """1 + base + ... + base^(terms-1), exactly; 0 for terms <= 0.
+class FormulaTable:
+    """r_k(n) for every 1 <= n <= limit, read from one divisor-sum sieve.
 
-    Cached: the family sweeps ask for the same few (base, terms) pairs at
-    every grid point.
+    The raw sums are stored as 64-bit integers and scaled on each read, since
+    r_8 itself outgrows 64 bits sooner than its divisor sum.  Entry 0 is 0:
+    like the per-n route, the table is stated for n >= 1 only.
     """
-    out = 0
-    power = 1
-    for _ in range(terms):
-        out += power
-        power *= base
-    return out
+
+    __slots__ = ("_sums", "_scale")
+
+    def __init__(self, limit: int, weight: Callable[[int], int], scale: Callable[[int, int], int]):
+        self._sums = divisor_sums(limit, weight)
+        self._scale = scale
+
+    def __getitem__(self, n: int) -> int:
+        return self._scale(n, self._sums[n])
+
+
+def r4_table(limit: int) -> FormulaTable:
+    """r_4(n) for 1 <= n <= limit by the sieve; entry n equals r4_formula(n)."""
+    return FormulaTable(limit, _r4_weight, _r4_scale)
+
+
+def r8_table(limit: int) -> FormulaTable:
+    """r_8(n) for 1 <= n <= limit by the sieve; entry n equals r8_formula(n)."""
+    return FormulaTable(limit, _r8_weight, _r8_scale)
+
+
+@lru_cache(maxsize=64)
+def _recursion_constants(k: int, p: int, alpha: int) -> tuple[Mapping[int, int], int, int]:
+    """The part of an r_k recursion step (k = 3 or 5) that depends on (p, alpha) alone.
+
+    Returns (multiplier, tail, half).  half = (p - 1) / 2 is the exponent of
+    Euler's criterion: a^half mod p is 0, 1 or p - 1 as the Legendre symbol
+    (a/p) is 0, 1 or -1, and multiplier maps that residue to
+    G(alpha+1) - c * (a/p) * G(alpha), the factor of r_k(n).  tail = p * G(alpha)
+    is the factor of r_3(n / p^2).  G(t) = 1 + x + ... + x^(t-1) is summed
+    exactly by Horner's rule, with x = p, c = 1 for k = 3 and x = p^3, c = p
+    for k = 5.  p is checked here, once per pair: the sweeps ask for one pair
+    at many n in a row.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    x, c = (p, 1) if k == 3 else (p**3, p)
+    g_lo = 0
+    for _ in range(alpha):
+        g_lo = g_lo * x + 1
+    g_hi = g_lo * x + 1
+    # read-only: the cache hands this same mapping to every caller
+    multiplier = MappingProxyType({0: g_hi, 1: g_hi - c * g_lo, p - 1: g_hi + c * g_lo})
+    return multiplier, p * g_lo, (p - 1) // 2
 
 
 def _lookup(base: Mapping[int, int], key: int, what: str) -> int:
@@ -123,21 +186,15 @@ def r3_recursion(p: int, alpha: int, n: int, r3_base: Mapping[int, int]) -> int:
     with S(t) = 1 + p + ... + p^(t-1), and r_3(n/p^2) taken as 0 unless p^2 | n.
     The Legendre symbol is 0 when p | n, which keeps the formula total.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    multiplier, tail, half = _recursion_constants(3, p, alpha)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s_hi = _geometric_sum(p, alpha + 1)
-    s_lo = _geometric_sum(p, alpha)
-    chi = legendre(-n, p)
     r3_n = _lookup(r3_base, n, "r3")
     # the r_3(n/p^2) term only participates when its multiplier p*S(alpha) is nonzero
     r3_quot = 0
     if alpha >= 1 and n % (p * p) == 0:
         r3_quot = _lookup(r3_base, n // (p * p), "r3")
-    return (s_hi - chi * s_lo) * r3_n - p * s_lo * r3_quot
+    return multiplier[pow(-n % p, half, p)] * r3_n - tail * r3_quot
 
 
 def r5_recursion(p: int, alpha: int, n: int, r5_base: Mapping[int, int]) -> int:
@@ -146,18 +203,12 @@ def r5_recursion(p: int, alpha: int, n: int, r5_base: Mapping[int, int]) -> int:
     r_5(p^(2a) n) = (T(a+1) - p * (n/p) * T(a)) * r_5(n)
     with T(t) = 1 + p^3 + ... + p^(3(t-1)).
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    multiplier, _, half = _recursion_constants(5, p, alpha)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n % (p * p) == 0:
         raise ValueError(f"p^2 = {p * p} divides n = {n}; outside the recursion's hypothesis")
-    t_hi = _geometric_sum(p**3, alpha + 1)
-    t_lo = _geometric_sum(p**3, alpha)
-    chi = legendre(n, p)
-    return (t_hi - p * chi * t_lo) * _lookup(r5_base, n, "r5")
+    return multiplier[pow(n % p, half, p)] * _lookup(r5_base, n, "r5")
 
 
 def rk_bruteforce(k: int, n: int) -> int:
@@ -169,31 +220,40 @@ def rk_bruteforce(k: int, n: int) -> int:
     Refuses what RkRequest rejects, including n beyond the enumeration budget.
     """
     RkRequest(k, n, RkMethod.BRUTE_FORCE)
-    if n == 0:
-        return 1
+    return _lattice_count(n, isqrt(n), k, {})
+
+
+def rk_bruteforce_table(k: int, limit: int) -> list[int]:
+    """rk_bruteforce(k, n) for 0 <= n <= limit, one enumeration memo for the whole range.
+
+    A sweep over n meets the same (remainder, largest value, free slots)
+    subproblems again and again; sharing the memo counts each of them once.
+    """
+    RkRequest(k, limit, RkMethod.BRUTE_FORCE)
     memo: dict[tuple[int, int, int], int] = {}
+    return [_lattice_count(n, isqrt(n), k, memo) for n in range(limit + 1)]
 
-    def count(rem: int, vmax: int, slots: int) -> int:
-        if rem == 0:
-            return 1
-        if slots == 0 or vmax == 0:
-            return 0
-        if vmax * vmax * slots < rem:
-            return 0
-        key = (rem, vmax, slots)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = count(rem, vmax - 1, slots)
-        sq = vmax * vmax
-        for j in range(1, slots + 1):
-            if j * sq > rem:
-                break
-            total += comb(slots, j) * (1 << j) * count(rem - j * sq, vmax - 1, slots - j)
-        memo[key] = total
-        return total
 
-    return count(n, isqrt(n), k)
+def _lattice_count(rem: int, vmax: int, slots: int, memo: dict) -> int:
+    """Integer vectors of length `slots` with entries in [-vmax, vmax] whose squares sum to rem."""
+    if rem == 0:
+        return 1
+    if slots == 0 or vmax == 0:
+        return 0
+    if vmax * vmax * slots < rem:
+        return 0
+    key = (rem, vmax, slots)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    total = _lattice_count(rem, vmax - 1, slots, memo)
+    sq = vmax * vmax
+    for j in range(1, slots + 1):
+        if j * sq > rem:
+            break
+        total += comb(slots, j) * (1 << j) * _lattice_count(rem - j * sq, vmax - 1, slots - j, memo)
+    memo[key] = total
+    return total
 
 
 def rk_recursion_route(k: int, n: int, rk_of: Callable[[int], int]) -> int:

@@ -56,6 +56,12 @@ MUTANTS = [
         "if na * nb < _SCHOOLBOOK_PAIR_LIMIT:",
     ),
     Mutant(
+        "residue-product-by-pair-count",
+        "src/overq/series.py",
+        "out = [c % m for c in _convolve_packed(a, b, n)]",
+        "out = [c % m for c in _convolve_exact(a, b, n)]",
+    ),
+    Mutant(
         "packing-drops-negative-part",
         "src/overq/series.py",
         "pos = ap * bp + an * bn",
@@ -100,8 +106,32 @@ MUTANTS = [
     Mutant(
         "r3-legendre-sign",
         "src/overq/squares.py",
-        "legendre(-n, p)",
-        "legendre(n, p)",
+        "pow(-n % p, half, p)",
+        "pow(n % p, half, p)",
+    ),
+    Mutant(
+        "recursion-constant-drops-top-term",
+        "src/overq/squares.py",
+        "g_hi = g_lo * x + 1",
+        "g_hi = g_lo",
+    ),
+    Mutant(
+        "sieve-starts-at-2d",
+        "src/overq/arith.py",
+        "for m in range(d, limit + 1, d):",
+        "for m in range(2 * d, limit + 1, d):",
+    ),
+    Mutant(
+        "r4-weight-keeps-multiples-of-4",
+        "src/overq/squares.py",
+        "return d if d % 4 != 0 else 0",
+        "return d",
+    ),
+    Mutant(
+        "r8-weight-sign",
+        "src/overq/squares.py",
+        "return d**3 if d % 2 == 0 else -(d**3)",
+        "return -(d**3) if d % 2 == 0 else d**3",
     ),
     Mutant(
         "tally-cap-off-by-one",

@@ -2,8 +2,9 @@
 
 Nothing in this module touches the series machinery: overpartitions are
 counted combinatorially, lattice points by literal nested loops, convolution
-by the naive definition.  These are the references the fast routes are
-measured against.
+by the naive definition, the r3 / r5 recursion steps with every constant
+recomputed per call.  These are the references the fast routes are measured
+against.
 """
 
 from __future__ import annotations
@@ -103,3 +104,58 @@ def euler_product_binomial(order: int, negated: bool) -> list[int]:
     for k in range(1, order + 1):
         c[k:] = [x + sign * y for x, y in zip(c[k:], c[: order + 1 - k])]
     return c
+
+
+def _odd_prime_or_raise(p: int) -> None:
+    if p == 2 or p < 2 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def _legendre_euler(a: int, p: int) -> int:
+    r = pow(a % p, (p - 1) // 2, p)
+    return 0 if r == 0 else (1 if r == 1 else -1)
+
+
+def _geometric(base: int, terms: int) -> int:
+    return sum(base**i for i in range(terms))
+
+
+def r3_recursion_per_call(p: int, alpha: int, n: int, r3_base) -> int:
+    """The r3 prime-power recursion step, every quantity recomputed on each call.
+
+    r_3(p^(2a) n) = (S(a+1) - (-n/p) S(a)) r_3(n) - p S(a) r_3(n/p^2), with
+    S(t) = 1 + p + ... + p^(t-1) and r_3(n/p^2) = 0 unless p^2 | n; the same
+    checks, in the same order and with the same messages, as overq's.
+    """
+    _odd_prime_or_raise(p)
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    s_hi, s_lo = _geometric(p, alpha + 1), _geometric(p, alpha)
+    if n not in r3_base:
+        raise ValueError(f"missing base value r3({n})")
+    quot = 0
+    if alpha >= 1 and n % (p * p) == 0:
+        if n // (p * p) not in r3_base:
+            raise ValueError(f"missing base value r3({n // (p * p)})")
+        quot = r3_base[n // (p * p)]
+    return (s_hi - _legendre_euler(-n, p) * s_lo) * r3_base[n] - p * s_lo * quot
+
+
+def r5_recursion_per_call(p: int, alpha: int, n: int, r5_base) -> int:
+    """The r5 recursion step r_5(p^(2a) n) = (T(a+1) - p (n/p) T(a)) r_5(n), p^2 not dividing n.
+
+    T(t) = 1 + p^3 + ... + p^(3(t-1)); recomputed on each call, checks as in overq.
+    """
+    _odd_prime_or_raise(p)
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n % (p * p) == 0:
+        raise ValueError(f"p^2 = {p * p} divides n = {n}; outside the recursion's hypothesis")
+    t_hi, t_lo = _geometric(p**3, alpha + 1), _geometric(p**3, alpha)
+    if n not in r5_base:
+        raise ValueError(f"missing base value r5({n})")
+    return (t_hi - p * _legendre_euler(n, p) * t_lo) * r5_base[n]

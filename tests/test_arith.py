@@ -4,6 +4,7 @@ import pytest
 
 from overq.arith import (
     Factorization,
+    divisor_sums,
     divisors,
     divisors_filtered,
     factor,
@@ -92,6 +93,28 @@ def test_legendre_completely_multiplicative():
         for a in range(1, 201):
             for b in range(1, 201):
                 assert legendre(a * b, p) == table[a] * table[b]
+
+
+def test_divisor_sums_against_trial_division():
+    weights = (lambda d: 1, lambda d: d, lambda d: -(d**3) if d % 2 else d**3, lambda d: d % 3)
+    for weight in weights:
+        out = divisor_sums(2000, weight)
+        assert len(out) == 2001 and out[0] == 0
+        for n in range(1, 2001):
+            assert out[n] == sum(weight(d) for d in divisors(n)), n
+
+
+def test_divisor_sums_small_limits_and_bad_input():
+    assert list(divisor_sums(0, lambda d: d)) == [0]
+    assert list(divisor_sums(6, lambda d: d)) == [0, 1, 3, 4, 7, 6, 12]
+    with pytest.raises(ValueError):
+        divisor_sums(-1, lambda d: d)
+
+
+def test_divisor_sums_refuse_to_wrap_past_64_bits():
+    # out[4] = 3 * 2^62 does not fit in a signed 64-bit entry
+    with pytest.raises(OverflowError):
+        divisor_sums(4, lambda d: 2**62)
 
 
 def test_square_detection_examples():

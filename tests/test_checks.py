@@ -264,7 +264,7 @@ _POISONED_CALL = {
     "replay-phi5": (TruncatedSeries, "substitute_power", lambda self, k: self),
     "replay-phi9": (TruncatedSeries, "substitute_power", lambda self, k: self),
     "lemma-euler-power": (TruncatedSeries, "substitute_power", lambda self, k: self),
-    "lemma-r48-scaling": (checks, "r4_formula", lambda n: n),
+    "lemma-r48-scaling": (checks, "r4_table", lambda limit: list(range(limit + 1))),
 }
 
 # sha256 of each poisoned report with elapsed_ms removed: any change to what a
@@ -375,3 +375,18 @@ def test_bank_mod_40_series_does_not_read_the_exact_one():
     # so a corrupt exact series shows in conj-40 as a broken CRT cross-check
     (rep,), _ = run_checks(["conj-40"], POISON_BUDGET, bank=bank)
     assert rep.status == "fail"
+
+
+# -- arithmetic tables ----------------------------------------------------------------
+
+
+def test_lemma_r48_builds_each_table_once_per_sweep(monkeypatch):
+    calls = {"r4_table": [], "r8_table": []}
+    for name, log in calls.items():
+        build = getattr(checks, name)
+        logged = lambda limit, build=build, log=log: log.append(limit) or build(limit)
+        monkeypatch.setattr(checks, name, logged)
+    (rep,), _ = run_checks(["lemma-r48-scaling"], POISON_BUDGET)
+    assert rep.status == "pass"
+    # one table per formula, sized to the largest argument p * n = 19 * 300
+    assert calls == {"r4_table": [19 * 300], "r8_table": [19 * 300]}

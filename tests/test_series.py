@@ -348,7 +348,9 @@ def test_mul_agrees_with_naive_on_both_sides_of_the_backend_boundary(xs, ys, m):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series, "_convolve_packed", recording_packed)
-        for limit, packed in ((pairs, False), (pairs - 1, True)):
+        # exact products switch backend above the pair limit; residue products
+        # are packed on both sides of it
+        for limit, packed in ((pairs, m is not None), (pairs - 1, True)):
             mp.setattr(series, "_SCHOOLBOOK_PAIR_LIMIT", limit)
             packed_calls.clear()
             assert list((a * b).coeffs) == want, limit

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overq.series import mod_ring
 from overq.squares import (
@@ -7,14 +11,17 @@ from overq.squares import (
     RkRequest,
     r3_recursion,
     r4_formula,
+    r4_table,
     r5_recursion,
     r8_formula,
+    r8_table,
     rk_bruteforce,
+    rk_bruteforce_table,
     rk_recursion_route,
     rk_series,
 )
 
-from oracles import rk_lattice_naive
+from oracles import r3_recursion_per_call, r5_recursion_per_call, rk_lattice_naive
 
 
 # -- request validation --------------------------------------------------------
@@ -91,6 +98,40 @@ def test_formulas_reject_nonpositive():
         r8_formula(-3)
 
 
+# -- sieve tables ------------------------------------------------------------------
+
+# lemma-r48-scaling at the default budget reads the tables up to 1000 * 23
+TABLE_LIMIT = 23_000
+
+
+@lru_cache(maxsize=None)
+def _per_n_formulas() -> tuple[list[int], list[int]]:
+    """r4_formula(n) and r8_formula(n) for 1 <= n <= TABLE_LIMIT, index n (entry 0 unused)."""
+    r4 = [0] + [r4_formula(n) for n in range(1, TABLE_LIMIT + 1)]
+    r8 = [0] + [r8_formula(n) for n in range(1, TABLE_LIMIT + 1)]
+    return r4, r8
+
+
+def test_tables_equal_the_per_n_formulas_through_23000():
+    r4, r8 = _per_n_formulas()
+    t4, t8 = r4_table(TABLE_LIMIT), r8_table(TABLE_LIMIT)
+    for n in range(1, TABLE_LIMIT + 1):
+        assert t4[n] == r4[n], n
+        assert t8[n] == r8[n], n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3000))
+def test_tables_equal_the_per_n_formulas_at_any_limit(limit):
+    r4, r8 = _per_n_formulas()
+    t4, t8 = r4_table(limit), r8_table(limit)
+    assert [t4[n] for n in range(1, limit + 1)] == r4[1 : limit + 1]
+    assert [t8[n] for n in range(1, limit + 1)] == r8[1 : limit + 1]
+    for table in (t4, t8):
+        with pytest.raises(IndexError):
+            table[limit + 1]  # sized to the limit, not beyond
+
+
 # -- prime-power recursions -------------------------------------------------------
 
 
@@ -148,6 +189,51 @@ def test_r5_recursion_rejects_p_squared_dividing_n():
         r5_recursion(3, 1, 9, {9: 0})
 
 
+_ODD_PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_recursions_equal_the_per_call_oracle():
+    # arbitrary base values: both sides must apply the same step to any input
+    base = {n: 7 * n - 3 * (n % 11) for n in range(1, 501)}
+    for p in _ODD_PRIMES_TO_50:
+        for alpha in range(5):
+            for n in range(1, 501):
+                args = (p, alpha, n, base)
+                assert _outcome(r3_recursion, *args) == _outcome(r3_recursion_per_call, *args)
+                assert _outcome(r5_recursion, *args) == _outcome(r5_recursion_per_call, *args)
+
+
+@pytest.mark.parametrize(
+    "p, alpha, n",
+    [
+        (2, 1, 3),  # even p
+        (9, 1, 3),  # not prime
+        (1, 1, 3),
+        (15, 0, 4),
+        (5, -1, 3),  # alpha < 0
+        (5, 1, 0),  # n < 1
+        (5, 1, -7),
+        (5, 1, 25),  # p^2 | n: r5 only
+        (3, 2, 18),
+    ],
+)
+def test_recursions_raise_the_oracles_errors(p, alpha, n):
+    base = {m: 1 for m in range(1, 30)}
+    pairs = ((r3_recursion, r3_recursion_per_call), (r5_recursion, r5_recursion_per_call))
+    for fast, oracle in pairs:
+        want = _outcome(oracle, p, alpha, n, base)
+        assert _outcome(fast, p, alpha, n, base) == want, (fast.__name__, p, alpha, n)
+    assert _outcome(r5_recursion, p, alpha, n, base).startswith("ValueError")
+
+
 # -- brute force -------------------------------------------------------------------
 
 
@@ -163,6 +249,13 @@ def test_bruteforce_budget_enforced():
         rk_bruteforce(8, BRUTEFORCE_MAX_N[8] + 1)
     with pytest.raises(ValueError):
         rk_bruteforce(4, BRUTEFORCE_MAX_N[4] + 1)
+
+
+def test_bruteforce_table_equals_the_per_n_enumeration():
+    for k, limit in ((1, 60), (2, 60), (3, 300), (4, 300), (5, 100), (8, 100)):
+        assert rk_bruteforce_table(k, limit) == [rk_bruteforce(k, n) for n in range(limit + 1)], k
+    with pytest.raises(ValueError):
+        rk_bruteforce_table(8, BRUTEFORCE_MAX_N[8] + 1)
 
 
 def test_bruteforce_against_naive_lattice():
