@@ -1,4 +1,4 @@
-"""Exact integer utilities: factorization, divisors, Legendre symbol, square tests.
+"""Exact integer utilities: factorization, divisors, square tests.
 
 Everything here is deterministic trial-division arithmetic sized for desk-scale
 arguments (up to ~1e8), plus one sieve that tabulates divisor sums for every
@@ -135,19 +135,6 @@ def divisor_sums(limit: int, weight: Callable[[int], int]) -> array:
             for m in range(d, limit + 1, d):
                 out[m] += w
     return out
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion.
-
-    Returns 0 iff p | a, else +1 for quadratic residues and -1 otherwise.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
 
 
 def is_square(n: int) -> bool:

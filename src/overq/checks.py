@@ -1,13 +1,13 @@
 """Congruence sweeps: one checker per statement, machine-readable reports.
 
 Every checker derives its grid deterministically from a Budget, reads shared
-base series out of a SeriesBank, and feeds each grid point to a Tally.  The
-runner turns the tally into a CheckReport whose status is derived strictly
-from what was tested: fail iff counterexamples were found, skipped iff the
-budget left nothing to test.  Grid points whose smallest instance exceeds the
-budget are recorded in skipped_points with that minimal argument, so coverage
-accounting stays honest for the prime-power families whose first direct
-instances sit far beyond any series truncation.
+base series out of a SeriesBank, and feeds each grid point to its CheckReport,
+whose status is derived strictly from what was tested: fail iff
+counterexamples were found, skipped iff the budget left nothing to test.  Grid
+points whose smallest instance exceeds the budget are recorded in
+skipped_points with that minimal argument, so coverage accounting stays honest
+for the prime-power families whose first direct instances sit far beyond any
+series truncation.
 
 For those out-of-reach families the sweeps fall back to the quantity that
 drives them: the r3 / r5 divisibilities are evaluated through the prime-power
@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Callable, Iterator
 
 from .arith import is_square, is_twice_square, primes_up_to
-from .reporting import STATUS_FAIL, Budget, CheckReport, finalize_report, summary_counts
+from .reporting import STATUS_FAIL, Budget, CheckReport, summary_counts
 from .series import TruncatedSeries, mod_ring
 from .squares import (
     r3_recursion,
@@ -35,8 +35,6 @@ from .squares import (
     rk_series,
 )
 from .theta import euler_product, overpartition_gf, p4n3_product_form, phi
-
-_MAX_RECORDED_COUNTEREXAMPLES = 100
 
 
 class SeriesBank:
@@ -92,58 +90,7 @@ class SeriesBank:
         return self._get(("p4n3", order), lambda: p4n3_product_form(order))
 
 
-def _coefficient(k: int) -> dict:
-    return {"coefficient": k}
-
-
-class Tally:
-    """What one sweep saw: points tested, counterexamples, skipped points.
-
-    Only the first 100 counterexamples are recorded, with observed values as
-    decimal strings.  skip_reason explains a sweep that tested nothing; None
-    lets the report say "no grid points within budget".
-    """
-
-    def __init__(self, skip_reason: str | None = None) -> None:
-        self.tested = 0
-        self.counterexamples: list[dict] = []
-        self.skipped_points: list[dict] = []
-        self.skip_reason = skip_reason
-
-    def record(self, args: dict, observed: dict, relation: str) -> None:
-        """Add a counterexample without counting a tested point."""
-        if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:
-            observed = {name: str(value) for name, value in observed.items()}
-            self.counterexamples.append({"args": args, "observed": observed, "expected": relation})
-
-    def expect(self, holds: bool, args: dict, observed: dict, relation: str) -> None:
-        """Count one tested point; it is a counterexample unless the relation holds."""
-        self.tested += 1
-        if not holds:
-            self.record(args, observed, relation)
-
-    def series(
-        self,
-        lhs: TruncatedSeries,
-        rhs: TruncatedSeries,
-        relation: str,
-        names: tuple[str, str] = ("lhs", "rhs"),
-        args: Callable[[int], dict] = _coefficient,
-    ) -> int:
-        """Compare coefficient-wise through the shorter order, which is returned."""
-        through = min(lhs.order, rhs.order)
-        for k in range(through + 1):
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                self.record(args(k), {names[0]: lhs.coeffs[k], names[1]: rhs.coeffs[k]}, relation)
-        self.tested += through + 1
-        return through
-
-    def skip(self, minimal_argument: int, **point) -> None:
-        """Note a grid point whose smallest instance exceeds the budget."""
-        self.skipped_points.append({**point, "minimal_argument": str(minimal_argument)})
-
-
-# A checker sweeps its grid into the tally and returns (parameters, range_tested).
+# A checker sweeps its grid into the report and returns (parameters, range_tested).
 Sweep = tuple[dict, tuple[int, int]]
 
 
@@ -153,7 +100,7 @@ class CheckDef:
 
     check_id: str
     statement: str
-    fn: Callable[[Budget, SeriesBank, Tally], Sweep]
+    fn: Callable[[Budget, SeriesBank, CheckReport], Sweep]
     skip_reason: str | None = None
 
 
@@ -207,7 +154,7 @@ def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
 
 
 @_check("thm-main", "pbar(5n) == (-1)^n r3(n) (mod 5) for n >= 1", "needs max_argument >= 5")
-def _check_thm_main(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_thm_main(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     hi = budget.max_argument // 5
     if hi >= 1:
         gf5 = bank.overpartition(5)
@@ -229,7 +176,7 @@ def _check_thm_main(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(3n) == (-1)^n r5(n) (mod 9) for n >= 1, plus the weaker mod-3 form",
     "needs max_argument >= 3",
 )
-def _check_thm_mod9(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_thm_mod9(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     hi = budget.max_argument // 3
     if hi >= 1:
         gf9 = bank.overpartition(9)
@@ -259,7 +206,7 @@ def _check_thm_mod9(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(4^a (40n+35)) == 0 (mod 40), cross-checked against the mod-8 x mod-5 CRT recombination",
     "needs max_argument >= 35",
 )
-def _check_conj40(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_conj40(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     instances = _qualifying_40n35(budget.max_argument)
     if instances:
         gf40 = bank.overpartition(40)
@@ -286,7 +233,7 @@ def _check_conj40(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 
 
 @_check("mod8-criterion", "pbar(n) == 0 (mod 8) whenever n is neither a square nor twice a square")
-def _check_mod8(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_mod8(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     gf8 = bank.overpartition(8)
     for n in range(1, M + 1):
@@ -302,7 +249,7 @@ def _check_mod8(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "sum_n pbar(4n+3) q^n == 8 (q^2;q^2)(q^4;q^4)^6 / (q;q)^8, exact term-by-term",
     "needs max_argument >= 3",
 )
-def _check_id_4n3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_id_4n3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     if M < 3:
         return {"max_argument": M}, (0, 0)
@@ -322,7 +269,7 @@ def _check_id_4n3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(5^(2a+1)(5n+1)) == pbar(5^(2a+1)(5n+4)) == 0 (mod 5) for a >= 1",
     "smallest instance 125 exceeds max_argument",
 )
-def _check_fam_5power(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_fam_5power(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     gf5 = bank.overpartition(5) if M >= 125 else None
     for alpha in range(1, budget.max_alpha + 1):
@@ -348,7 +295,7 @@ def _check_fam_5power(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(5 p^3 n) == 0 (mod 5) for primes p == 4 (mod 5), n coprime to p; "
     "out-of-budget instances verified through r3(p^3 n) == (p+1) r3(pn) == 0 (mod 5)",
 )
-def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     """Direct instances start at 5 * 19^3 = 34295; beyond the budget they are
     recorded as skipped and the driving divisibility is verified through the
     recursion with in-budget bases.
@@ -389,7 +336,7 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5); pbar(5 p^(8a+7) N) == 0 (mod 5) "
     "for p == 2,3,4 (mod 5); N coprime to p; driven by the r3 recursion divisibility",
 )
-def _check_fam_5p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_fam_5p_high(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     """Direct instances (5 * 11^9 at the smallest) sit far beyond any series
     budget and are recorded as skipped; the underlying divisibility
     r3(p^(2b+1) N) == 0 (mod 5) is verified through the recursion with
@@ -430,7 +377,7 @@ def _check_fam_5p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
     "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
 )
-def _check_fam_3p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_fam_3p_high(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     """Same scheme as the quintic families: direct instances within budget are
     read from the overpartition series mod 9; the rest is verified through the
     r5 recursion with in-budget bases r5(pN).
@@ -472,7 +419,7 @@ def _check_fam_3p_high(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "cor-5-4alpha",
     "pbar(4^a (40n+35)) == 0 (mod 5), and pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
 )
-def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     gf5 = bank.overpartition(5)
     for alpha, n, arg in _qualifying_40n35(M):
@@ -498,7 +445,7 @@ def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 
 
 @_check("replay-phi5", "phi(q)^5 == phi(q^5) (mod 5) coefficient-wise")
-def _check_replay_phi5(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_replay_phi5(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     L = min(budget.max_argument, 500)
     ph = phi(L, mod_ring(5))
     through = t.series(ph**5, ph.substitute_power(5), "phi^5 == phi(q^5) (mod 5)")
@@ -506,7 +453,7 @@ def _check_replay_phi5(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 
 
 @_check("replay-phi9", "phi(q)^9 == phi(q^3)^3 (mod 9) coefficient-wise")
-def _check_replay_phi9(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_replay_phi9(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     L = min(budget.max_argument, 500)
     ph = phi(L, mod_ring(9))
     through = t.series(ph**9, ph.substitute_power(3) ** 3, "phi^9 == phi(q^3)^3 (mod 9)")
@@ -520,7 +467,7 @@ _EULER_POWER_PAIRS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2))
     "lemma-euler-power",
     "(q;q)^(p^a) == (q^p;q^p)^(p^(a-1)) (mod p^a) for the seven (p, a) pairs up to (5, 2)",
 )
-def _check_lemma_euler_power(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_lemma_euler_power(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     L = min(budget.max_argument, 500)
     for p, a in _EULER_POWER_PAIRS:
         if p > budget.max_prime or a > budget.max_alpha:
@@ -541,7 +488,7 @@ def _check_lemma_euler_power(budget: Budget, bank: SeriesBank, t: Tally) -> Swee
     "sum_n pbar(5n)(-q)^n == phi(q)^3 (mod 5), and sum_n pbar(3n)(-q)^n == phi(q)^5 (mod 9)",
     "needs max_argument >= 5",
 )
-def _check_final_step(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_final_step(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     if M < 5:
         return {"max_argument": M}, (0, 0)
@@ -569,7 +516,7 @@ def _check_final_step(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "rk-route-agreement",
     "r4/r8 divisor-sum formulas and the lattice enumerator agree with the phi-power series",
 )
-def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_rk_routes(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     lim_formula = min(M, 2000)
     r4s = bank.rk(4, None, order=lim_formula)
@@ -603,7 +550,7 @@ def _check_rk_routes(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 @_check(
     "lemma-r48-scaling", "r4(pn) == r4(n) (mod p) and r8(pn) == r8(n) (mod p^3) for odd primes p"
 )
-def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     lim = min(budget.max_argument, 1000)
     primes = _odd_primes(budget.max_prime)
     # one sieve per formula covers every pn; each side is read from the table,
@@ -634,7 +581,7 @@ def _check_r48_scaling(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
 
 
 @_check("lemma-r3-four", "r3(4^a (8n+7)) == 0 and r3(4^a n) == r3(n)")
-def _check_r3_four(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     r3x = bank.rk(3, None)
     for alpha in range(budget.max_alpha + 1):
@@ -667,7 +614,7 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "lemma-r3-recursion",
     "the r3 prime-power recursion reproduces the series coefficients at p^(2a) n, all n",
 )
-def _check_r3_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_r3_recursion(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     r3x = bank.rk(3, None)
     for p in _odd_primes(budget.max_prime):
@@ -695,7 +642,7 @@ def _check_r3_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
     "lemma-r5-recursion",
     "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
 )
-def _check_r5_recursion(budget: Budget, bank: SeriesBank, t: Tally) -> Sweep:
+def _check_r5_recursion(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     r5x = bank.rk(5, None)
     for p in _odd_primes(budget.max_prime):
@@ -745,18 +692,9 @@ def iter_check_reports(
         bank = SeriesBank(budget)
     for d in defs:
         t0 = perf_counter()
-        tally = Tally(d.skip_reason)
-        parameters, range_tested = d.fn(budget, bank, tally)
-        report = finalize_report(
-            d.check_id,
-            parameters,
-            range_tested,
-            tally.counterexamples,
-            tally.tested,
-            int((perf_counter() - t0) * 1000),
-            tally.skipped_points,
-            tally.skip_reason,
-        )
+        report = CheckReport(d.check_id, skip_reason=d.skip_reason)
+        report.parameters, report.range_tested = d.fn(budget, bank, report)
+        report.elapsed_ms = int((perf_counter() - t0) * 1000)
         yield report
         if stop_on_first and report.status == STATUS_FAIL:
             return

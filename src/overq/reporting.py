@@ -9,10 +9,15 @@ exceed 64 bits well inside the default budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+from .series import TruncatedSeries
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_SKIPPED = "skipped"
+
+_MAX_RECORDED_COUNTEREXAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -34,25 +39,78 @@ class Budget:
                 raise ValueError(f"{name} must be positive")
 
 
+def _coefficient(k: int) -> dict:
+    return {"coefficient": k}
+
+
 @dataclass
 class CheckReport:
-    """Outcome of one theorem sweep.
+    """Outcome of one theorem sweep, written into by its checker.
 
-    status is "fail" exactly when counterexamples is nonempty; a run whose grid
-    contains no testable point is "skipped" (with a reason), never a silent
-    pass.  skipped_points records grid points whose smallest instance exceeds
-    the budget, each with that minimal argument (as a decimal string; these
-    get astronomically large for high prime powers).
+    The checker writes into it through expect and series (tested points),
+    record (a counterexample alone) and skip (a point beyond the budget); the
+    runner then sets parameters, range_tested and elapsed_ms.
+    status is "fail" exactly when counterexamples is nonempty; a run that
+    tested nothing is "skipped" with a reason (skip_reason, else "no grid
+    points within budget"), never a silent pass.  Only the first 100
+    counterexamples are recorded, with observed values as decimal strings.
+    skipped_points records grid points whose smallest instance exceeds the
+    budget, each with that minimal argument (as a decimal string; these get
+    astronomically large for high prime powers).
     """
 
     check_id: str
-    parameters: dict
-    range_tested: tuple[int, int]
-    counterexamples: list[dict]
-    elapsed_ms: int
-    status: str
-    reason: str | None = None
+    parameters: dict = field(default_factory=dict)
+    range_tested: tuple[int, int] = (0, 0)
+    counterexamples: list[dict] = field(default_factory=list)
+    elapsed_ms: int = 0
+    skip_reason: str | None = None
     skipped_points: list[dict] = field(default_factory=list)
+    tested: int = 0
+
+    @property
+    def status(self) -> str:
+        if self.counterexamples:
+            return STATUS_FAIL
+        return STATUS_SKIPPED if self.tested == 0 else STATUS_PASS
+
+    @property
+    def reason(self) -> str | None:
+        if self.status != STATUS_SKIPPED:
+            return None
+        return self.skip_reason or "no grid points within budget"
+
+    def record(self, args: dict, observed: dict, relation: str) -> None:
+        """Add a counterexample without counting a tested point."""
+        if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:
+            observed = {name: str(value) for name, value in observed.items()}
+            self.counterexamples.append({"args": args, "observed": observed, "expected": relation})
+
+    def expect(self, holds: bool, args: dict, observed: dict, relation: str) -> None:
+        """Count one tested point; it is a counterexample unless the relation holds."""
+        self.tested += 1
+        if not holds:
+            self.record(args, observed, relation)
+
+    def series(
+        self,
+        lhs: TruncatedSeries,
+        rhs: TruncatedSeries,
+        relation: str,
+        names: tuple[str, str] = ("lhs", "rhs"),
+        args: Callable[[int], dict] = _coefficient,
+    ) -> int:
+        """Compare coefficient-wise through the shorter order, which is returned."""
+        through = min(lhs.order, rhs.order)
+        for k in range(through + 1):
+            if lhs.coeffs[k] != rhs.coeffs[k]:
+                self.record(args(k), {names[0]: lhs.coeffs[k], names[1]: rhs.coeffs[k]}, relation)
+        self.tested += through + 1
+        return through
+
+    def skip(self, minimal_argument: int, **point) -> None:
+        """Note a grid point whose smallest instance exceeds the budget."""
+        self.skipped_points.append({**point, "minimal_argument": str(minimal_argument)})
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -67,41 +125,6 @@ class CheckReport:
         if self.reason is not None:
             d["reason"] = self.reason
         return d
-
-
-def finalize_report(
-    check_id: str,
-    parameters: dict,
-    range_tested: tuple[int, int],
-    counterexamples: list[dict],
-    tested_count: int,
-    elapsed_ms: int,
-    skipped_points: list[dict] | None = None,
-    skip_reason: str | None = None,
-) -> CheckReport:
-    """Derive the status from what was actually tested.
-
-    Fail iff counterexamples exist; skipped iff nothing was tested (the reason
-    defaults to an honest "no grid points within budget").
-    """
-    skipped_points = skipped_points or []
-    if counterexamples:
-        status, reason = STATUS_FAIL, None
-    elif tested_count == 0:
-        status = STATUS_SKIPPED
-        reason = skip_reason or "no grid points within budget"
-    else:
-        status, reason = STATUS_PASS, None
-    return CheckReport(
-        check_id=check_id,
-        parameters=parameters,
-        range_tested=range_tested,
-        counterexamples=counterexamples,
-        elapsed_ms=elapsed_ms,
-        status=status,
-        reason=reason,
-        skipped_points=skipped_points,
-    )
 
 
 def summary_counts(reports) -> dict:

@@ -134,10 +134,22 @@ MUTANTS = [
         "return -(d**3) if d % 2 == 0 else d**3",
     ),
     Mutant(
-        "tally-cap-off-by-one",
-        "src/overq/checks.py",
+        "report-cap-off-by-one",
+        "src/overq/reporting.py",
         "if len(self.counterexamples) < _MAX_RECORDED_COUNTEREXAMPLES:",
         "if len(self.counterexamples) <= _MAX_RECORDED_COUNTEREXAMPLES:",
+    ),
+    Mutant(
+        "untested-sweep-passes",
+        "src/overq/reporting.py",
+        "return STATUS_SKIPPED if self.tested == 0 else STATUS_PASS",
+        "return STATUS_PASS",
+    ),
+    Mutant(
+        "default-skip-reason-lost",
+        "src/overq/reporting.py",
+        'return self.skip_reason or "no grid points within budget"',
+        "return self.skip_reason",
     ),
     Mutant(
         "invert-unit-skips-gcd",

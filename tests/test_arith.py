@@ -11,7 +11,6 @@ from overq.arith import (
     is_prime,
     is_square,
     is_twice_square,
-    legendre,
     primes_up_to,
 )
 
@@ -72,27 +71,6 @@ def test_divisors_filtered_rejects_bad_inputs():
         divisors_filtered(0, 4)
     with pytest.raises(ValueError):
         divisors_filtered(12, 1)
-
-
-def test_legendre_examples():
-    assert legendre(0, 5) == 0
-    assert legendre(4, 7) == 1
-    # Euler's criterion by hand: 2^((5-1)/2) = 4 == -1 (mod 5)
-    assert legendre(2, 5) == -1
-
-
-@pytest.mark.parametrize("bad_p", [2, 4, 9, 15, 1])
-def test_legendre_rejects_bad_modulus(bad_p):
-    with pytest.raises(ValueError):
-        legendre(3, bad_p)
-
-
-def test_legendre_completely_multiplicative():
-    for p in (3, 5, 7, 11, 13):
-        table = {a: legendre(a, p) for a in range(1, 201)}
-        for a in range(1, 201):
-            for b in range(1, 201):
-                assert legendre(a * b, p) == table[a] * table[b]
 
 
 def test_divisor_sums_against_trial_division():

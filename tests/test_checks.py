@@ -11,7 +11,7 @@ from overq.checks import (
     coverage_manifest,
     run_checks,
 )
-from overq.reporting import Budget, finalize_report, summary_counts
+from overq.reporting import Budget, CheckReport, summary_counts
 from overq.series import EXACT, TruncatedSeries, mod_ring
 from overq.theta import overpartition_gf
 
@@ -37,18 +37,26 @@ def test_budget_defaults_and_validation():
         Budget(max_prime=-1)
 
 
+def _report(check_id, tested, failures=0, **fields):
+    """A report that tested `tested` points, the first `failures` of them failing."""
+    rep = CheckReport(check_id, **fields)
+    for n in range(tested):
+        rep.expect(n >= failures, {"n": n}, {}, "holds")
+    return rep
+
+
 def test_finalize_report_status_rules():
-    fail = finalize_report("x", {}, (1, 10), [{"args": {}}], 10, 1)
+    fail = _report("x", 10, failures=1)
     assert fail.status == "fail"
-    ok = finalize_report("x", {}, (1, 10), [], 10, 1)
+    ok = _report("x", 10)
     assert ok.status == "pass" and ok.reason is None
-    skipped = finalize_report("x", {}, (1, 0), [], 0, 1)
+    skipped = _report("x", 0)
     assert skipped.status == "skipped"
     assert skipped.reason == "no grid points within budget"
 
 
 def test_report_json_shape():
-    rep = finalize_report("x", {"m": 5}, (1, 3), [], 3, 7)
+    rep = _report("x", 3, parameters={"m": 5}, range_tested=(1, 3), elapsed_ms=7)
     d = rep.to_json_dict()
     assert list(d) == [
         "check_id",
@@ -63,11 +71,7 @@ def test_report_json_shape():
 
 
 def test_summary_counts():
-    reports = [
-        finalize_report("a", {}, (1, 1), [], 1, 0),
-        finalize_report("b", {}, (1, 1), [{"args": {}}], 1, 0),
-        finalize_report("c", {}, (0, 0), [], 0, 0),
-    ]
+    reports = [_report("a", 1), _report("b", 1, failures=1), _report("c", 0)]
     assert summary_counts(reports) == {"pass": 1, "fail": 1, "skipped": 1}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -11,6 +12,10 @@ from overq.cli import _applicable_methods, main
 from overq.squares import RkMethod
 
 from oracles import overpartitions_enumerated
+
+
+# sha256 of `overq verify --all` at the default budget with its elapsed_ms fields removed
+DEFAULT_BUDGET_STREAM_SHA256 = "e81e567a1f4d06bde68a1d0dbdb490376880fcc8276aeb6f0d3c4a2aba2b5ccb"
 
 
 def run_cli(capsys, *argv):
@@ -244,9 +249,10 @@ def test_rk_cross_check_exit_code_1_on_disagreement(capsys, monkeypatch):
 def test_verify_exit_code_1_on_failure(capsys, monkeypatch):
     # wire-level contract: a failing report must flip the exit code to 1
     import overq.cli as cli
-    from overq.reporting import finalize_report
+    from overq.reporting import CheckReport
 
-    fake = finalize_report("thm-main", {}, (1, 1), [{"args": {"n": 1}}], 1, 0)
+    fake = CheckReport("thm-main", range_tested=(1, 1))
+    fake.expect(False, {"n": 1}, {}, "holds")
     monkeypatch.setattr(cli, "iter_check_reports", lambda *a, **k: iter([fake]))
     code, out, _ = run_cli(capsys, "verify", "--checks", "thm-main")
     assert code == 1
@@ -268,6 +274,9 @@ def test_verify_all_default_budget_subprocess():
     statuses = {r["check_id"]: r["status"] for r in rows[1:-1]}
     assert statuses["conj-40"] == "pass"
     assert statuses["id-4n3"] == "pass"
+    # the whole stream, elapsed_ms removed, is pinned: perfbench's sweep-default digest
+    stream = re.sub(r', "elapsed_ms": \d+', "", proc.stdout)
+    assert hashlib.sha256(stream.encode()).hexdigest() == DEFAULT_BUDGET_STREAM_SHA256
 
 
 # -- process-level smoke test ---------------------------------------------------------
