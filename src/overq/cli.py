@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from .checks import REGISTRY, all_check_ids, coverage_manifest, iter_check_reports
 from .reporting import Budget, summary_counts
@@ -150,6 +151,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         unknown = [c for c in ids if c not in REGISTRY]
         if unknown:
             return _fail_usage(f"unknown checks: {', '.join(unknown)} (see list-checks)")
+        duplicates = [c for c, count in Counter(ids).items() if count > 1]
+        if duplicates:
+            return _fail_usage(f"duplicate checks: {', '.join(duplicates)}")
         if not ids:
             return _fail_usage("--checks got an empty list")
     try:

@@ -6,18 +6,11 @@ residues in [0, m) for the modular ring.  Binary operations require identical
 rings and truncate to the shorter order, so "working through q^N" is the
 default mode of every computation built on top.
 
-Multiplication is an exact Cauchy product truncated at the shorter order.
-Two interchangeable backends compute it, over the integers; a modular product
-is the integer product of the residues, reduced afterwards:
-
-  * support-aware schoolbook, which skips zero coefficients and therefore
-    makes exact products with theta-like or pentagonal-sparse operands cheap;
-  * packed-integer convolution (Kronecker substitution) for large dense exact
-    products, where a CPython inner loop would dominate the run time, and for
-    every residue product: residues pack into narrow slots, so one big-integer
-    multiply is cheap at any density.
-
-Both produce identical coefficients and the test suite cross-checks them.
+Multiplication is an exact Cauchy product truncated at the shorter order,
+computed one way for both rings: packed-integer convolution (Kronecker
+substitution).  The coefficients are packed into fixed-width slots of one big
+integer, so the whole product is a single CPython big-integer multiply; a
+modular product is the integer product of the residues, reduced afterwards.
 Division a / s runs the power-series recurrence over the nonzero coefficients
 of s only, so dividing by a sparse series (theta, pentagonal) is cheap.
 """
@@ -76,31 +69,8 @@ def mod_ring(m: int) -> RingSpec:
 
 
 # ---------------------------------------------------------------------------
-# Convolution backends
+# Convolution
 # ---------------------------------------------------------------------------
-
-# Above this many nonzero coefficient pairs, packed-integer convolution beats
-# the Python schoolbook loop comfortably on exact operands.
-_SCHOOLBOOK_PAIR_LIMIT = 1_500_000
-
-
-def _convolve_support(a: list[int], b: list[int], n: int) -> list[int]:
-    """Truncated Cauchy product iterating only nonzero coefficient pairs."""
-    sa = [(i, c) for i, c in enumerate(a) if c]
-    sb = [(j, c) for j, c in enumerate(b) if c]
-    if len(sa) > len(sb):
-        sa, sb = sb, sa
-    out = [0] * (n + 1)
-    for i, ci in sa:
-        if i > n:
-            break
-        lim = n - i
-        for j, cj in sb:
-            if j > lim:
-                break
-            out[i + j] += ci * cj
-    return out
-
 
 def _pack(cs: list[int], nbytes: int) -> tuple[int, int]:
     """The positive part of cs and the magnitudes of its negative part, slot by slot."""
@@ -144,14 +114,6 @@ def _convolve_packed(a: list[int], b: list[int], n: int) -> list[int]:
         return cpos
     cneg = _unpack(neg, nbytes, n + 1)
     return [x - y for x, y in zip(cpos, cneg)]
-
-
-def _convolve_exact(a: list[int], b: list[int], n: int) -> list[int]:
-    na = sum(1 for c in a if c)
-    nb = sum(1 for c in b if c)
-    if na * nb <= _SCHOOLBOOK_PAIR_LIMIT:
-        return _convolve_support(a, b, n)
-    return _convolve_packed(a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +191,10 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         a = list(self.coeffs[: n + 1])
         b = list(other.coeffs[: n + 1])
+        out = _convolve_packed(a, b, n)
         m = self.ring.modulus
-        if m is None:
-            out = _convolve_exact(a, b, n)
-        else:
-            out = [c % m for c in _convolve_packed(a, b, n)]
+        if m is not None:
+            out = [c % m for c in out]
         return TruncatedSeries(self.ring, n, tuple(out))
 
     def __pow__(self, e: int) -> "TruncatedSeries":

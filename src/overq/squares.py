@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .arith import divisor_sums, divisors, factor, is_prime
-from .series import EXACT, RingSpec, TruncatedSeries
+from .series import TruncatedSeries
 from .theta import phi
 
 MAX_K = 8
@@ -74,11 +74,11 @@ class RkRequest:
             )
 
 
-def rk_series(k: int, order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
+def rk_series(k: int, order: int) -> TruncatedSeries:
     """phi(q)^k truncated at the given order; coefficient n is r_k(n)."""
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    return phi(order, ring) ** k
+    return phi(order) ** k
 
 
 # The two closed formulas, r_k(n) = scale_k(n, sum of w_k(d) over d | n):

@@ -50,16 +50,16 @@ MUTANTS = [
         "enumerate(other.coeffs[: n // 2 + 1]) if j and cj]",
     ),
     Mutant(
-        "backend-limit-strict",
+        "packed-slot-drops-length-bits",
         "src/overq/series.py",
-        "if na * nb <= _SCHOOLBOOK_PAIR_LIMIT:",
-        "if na * nb < _SCHOOLBOOK_PAIR_LIMIT:",
+        "+ (n + 1).bit_length() + 2",
+        "+ 2",
     ),
     Mutant(
-        "residue-product-by-pair-count",
+        "packed-drops-cross-term",
         "src/overq/series.py",
-        "out = [c % m for c in _convolve_packed(a, b, n)]",
-        "out = [c % m for c in _convolve_exact(a, b, n)]",
+        "neg = ap * bn + an * bp",
+        "neg = ap * bn",
     ),
     Mutant(
         "packing-drops-negative-part",

@@ -84,7 +84,7 @@ def rk_lattice_naive(k: int, n: int) -> int:
 
 
 def naive_convolve(a: list[int], b: list[int], n: int) -> list[int]:
-    """Textbook truncated Cauchy product, the reference for every mul backend."""
+    """Textbook truncated Cauchy product, the reference for series multiplication."""
     out = [0] * (n + 1)
     for i, ai in enumerate(a[: n + 1]):
         for j, bj in enumerate(b[: n + 1 - i]):

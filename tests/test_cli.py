@@ -192,6 +192,13 @@ def test_verify_unknown_check(capsys):
     assert "unknown" in err
 
 
+def test_verify_duplicate_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--checks", "thm-main,mod8-criterion,thm-main")
+    assert code == 2
+    assert out == ""
+    assert "duplicate checks: thm-main" in err
+
+
 def test_verify_requires_selection(capsys):
     code, _, _ = run_cli(capsys, "verify")
     assert code == 2

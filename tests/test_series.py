@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overq import series
 from overq.series import (
     EXACT,
     NonInvertibleError,
     RingSpec,
     TruncatedSeries,
     _convolve_packed,
-    _convolve_support,
     mod_ring,
 )
 
@@ -102,7 +100,7 @@ def test_mul_modular_matches_exact_reduction():
     assert exact == modular
 
 
-def test_convolve_backends_agree_with_naive():
+def test_convolve_packed_agrees_with_naive():
     import random
 
     rng = random.Random(42)
@@ -111,8 +109,12 @@ def test_convolve_backends_agree_with_naive():
         a = [rng.randint(-(10**30), 10**30) if rng.random() < 0.6 else 0 for _ in range(n + 1)]
         b = [rng.randint(-(10**30), 10**30) if rng.random() < 0.6 else 0 for _ in range(n + 1)]
         want = naive_convolve(a, b, n)
-        assert _convolve_support(a, b, n) == want
         assert _convolve_packed(a, b, n) == want
+    # every slot at its bound: n + 1 products of the largest magnitude, of either sign
+    top = 2**63 - 1
+    for n in (0, 1, 60, 300):
+        for a, b in (([top] * (n + 1), [top] * (n + 1)), ([top] * (n + 1), [-top] * (n + 1))):
+            assert _convolve_packed(a, b, n) == naive_convolve(a, b, n), n
 
 
 # -- pow ---------------------------------------------------------------------
@@ -331,30 +333,14 @@ def test_division_rejects_ring_mismatch():
 
 @settings(max_examples=40)
 @given(_sparse_tail, _sparse_tail, st.sampled_from([None, 5, 8, 9, 40]))
-def test_mul_agrees_with_naive_on_both_sides_of_the_backend_boundary(xs, ys, m):
+def test_mul_agrees_with_naive(xs, ys, m):
     ring = EXACT if m is None else mod_ring(m)
     a, b = S([1] + xs, ring), S([1] + ys, ring)
     n = min(a.order, b.order)
-    ca, cb = list(a.coeffs[: n + 1]), list(b.coeffs[: n + 1])
-    want = naive_convolve(ca, cb, n)
+    want = naive_convolve(list(a.coeffs[: n + 1]), list(b.coeffs[: n + 1]), n)
     if m is not None:
         want = [c % m for c in want]
-    pairs = sum(1 for c in ca if c) * sum(1 for c in cb if c)
-    packed_calls = []
-
-    def recording_packed(*args):
-        packed_calls.append(args)
-        return _convolve_packed(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_convolve_packed", recording_packed)
-        # exact products switch backend above the pair limit; residue products
-        # are packed on both sides of it
-        for limit, packed in ((pairs, m is not None), (pairs - 1, True)):
-            mp.setattr(series, "_SCHOOLBOOK_PAIR_LIMIT", limit)
-            packed_calls.clear()
-            assert list((a * b).coeffs) == want, limit
-            assert bool(packed_calls) == packed, limit
+    assert list((a * b).coeffs) == want
 
 
 @settings(max_examples=60)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overq.series import mod_ring
 from overq.squares import (
     BRUTEFORCE_MAX_N,
     RkMethod,
@@ -311,12 +310,6 @@ def test_r5_recursion_consistency_grid():
                 if n % (p * p) == 0:
                     continue
                 assert r5_recursion(p, alpha, n, {n: r5.coeffs[n]}) == r5.coeffs[step * n]
-
-
-def test_modular_series_route():
-    exact = rk_series(3, 300)
-    modular = rk_series(3, 300, mod_ring(5))
-    assert exact.reduce_mod(5) == modular
 
 
 # -- recursion route dispatch -------------------------------------------------------
