@@ -275,9 +275,10 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, len(cs) - 1, cs)
 
     def reduce_mod(self, m: int) -> "TruncatedSeries":
-        """Coefficient-wise reduction of an exact series into residues mod m."""
-        if self.ring.is_modular:
-            raise ValueError("reduce_mod applies to exact-integer series only")
+        """Coefficient-wise reduction into residues mod m; from mod M, m must properly divide M."""
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
+        M = self.ring.modulus
+        if M is not None and (m == M or M % m):
+            raise ValueError(f"a series mod {M} reduces only mod a proper divisor, not mod {m}")
         return TruncatedSeries(mod_ring(m), self.order, tuple(c % m for c in self.coeffs))

@@ -80,13 +80,14 @@ def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
 def p4n3_product_form(order: int) -> TruncatedSeries:
     """8 * (q^2;q^2) * (q^4;q^4)^6 / (q;q)^8 over exact integers.
 
-    The numerator is a product of pentagonal-sparse factors, followed by eight
-    sparse divisions by (q;q).  Term n equals the overpartition count of 4n+3.
-    Modular variants should be taken by reduce_mod of this one canonical
-    construction.
+    (q^4;q^4)^6 is (q;q)^6 built at a quarter of the order and spread onto every
+    fourth exponent; eight sparse divisions by (q;q) follow.  Term n equals the
+    overpartition count of 4n+3; no series is shared with the theta route that
+    id-4n3 checks it against.  Modular variants are reduce_mod of this one.
     """
     e1 = euler_product(order)
-    rhs = e1.substitute_power(2) * e1.substitute_power(4) ** 6
+    e6 = TruncatedSeries.make(EXACT, (euler_product(order // 4) ** 6).coeffs, order)
+    rhs = e1.substitute_power(2) * e6.substitute_power(4)
     for _ in range(8):
         rhs = rhs / e1
     return rhs.scale(8)

@@ -83,13 +83,25 @@ MUTANTS = [
         "bank-mod-40-by-reduction",
         "src/overq/checks.py",
         "build = lambda: phi(order, mod_ring(40)).alternate_signs().inverse()",
-        'build = lambda: self._get(("gf", None, order), exact).reduce_mod(40)',
+        'build = lambda: self._get(("gf", 360, order), dual).reduce_mod(40)',
     ),
     Mutant(
         "bank-reduces-by-wrong-modulus",
         "src/overq/checks.py",
-        '("gf", None, order), exact).reduce_mod(modulus)',
-        '("gf", None, order), exact).reduce_mod(2 * modulus)',
+        '("gf", 360, order), dual).reduce_mod(modulus)',
+        '("gf", 360, order), dual).reduce_mod(2 * modulus)',
+    ),
+    Mutant(
+        "bank-exact-series-drops-sign-change",
+        "src/overq/checks.py",
+        "build = lambda: phi(order).alternate_signs().inverse()",
+        "build = lambda: phi(order).inverse()",
+    ),
+    Mutant(
+        "modular-division-negates-inverse",
+        "src/overq/series.py",
+        "else inv0 * acc % m",
+        "else -inv0 * acc % m",
     ),
     Mutant(
         "crt-sign",

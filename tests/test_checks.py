@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from overq import checks
+from overq import checks, theta
 from overq.checks import (
     REGISTRY,
     SeriesBank,
@@ -13,7 +13,7 @@ from overq.checks import (
 )
 from overq.reporting import Budget, CheckReport, summary_counts
 from overq.series import EXACT, TruncatedSeries, mod_ring
-from overq.theta import overpartition_gf
+from overq.theta import RouteMismatchError, overpartition_gf
 
 from oracles import overpartitions_counted, rk_lattice_naive
 
@@ -360,25 +360,49 @@ def test_bank_builds_each_series_once_per_budget(monkeypatch):
     monkeypatch.setattr(checks, "overpartition_gf", counted(gf_calls, checks.overpartition_gf))
     monkeypatch.setattr(checks, "rk_series", counted(rk_calls, checks.rk_series))
     run_checks(all_check_ids(), POISON_BUDGET)
-    assert gf_calls == [(300,)]  # exact only: residues are reductions, mod 40 is theta-only
+    # both routes over Z/360 only: mod 5, 8, 9 are reductions, mod 40 and exact are theta-only
+    assert gf_calls == [(300, mod_ring(360))]
     assert sorted(rk_calls) == [(3, 300), (4, 300), (5, 300), (8, 300)]
 
 
 def test_bank_residue_series_are_reductions_of_the_exact_ones(bank):
     exact = bank.overpartition(None)
+    z360 = bank.overpartition(360)
+    assert z360 == exact.reduce_mod(360)
     for m in (5, 8, 9):
-        assert bank.overpartition(m) == exact.reduce_mod(m)
+        assert bank.overpartition(m) == z360.reduce_mod(m) == exact.reduce_mod(m)
     assert bank.rk(3, 5) == bank.rk(3, None).reduce_mod(5)
     assert bank.rk(5, 9) == bank.rk(5, None).reduce_mod(9)
 
 
-def test_bank_mod_40_series_does_not_read_the_exact_one():
-    bank = _poisoned_bank(POISON_BUDGET, ("gf", None, 300))
+def test_bank_mod_40_series_does_not_read_the_mod_360_one():
+    bank = _poisoned_bank(POISON_BUDGET, ("gf", 360, 300))
     assert bank.overpartition(40) == overpartition_gf(300, mod_ring(40))
     assert bank.overpartition(5) != overpartition_gf(300, mod_ring(5))  # a reduction does
-    # so a corrupt exact series shows in conj-40 as a broken CRT cross-check
+    # so a corrupt Z/360 series shows in conj-40 as a broken CRT cross-check
     (rep,), _ = run_checks(["conj-40"], POISON_BUDGET, bank=bank)
     assert rep.status == "fail"
+
+
+def test_bank_modular_sweep_never_builds_the_exact_overpartition_series():
+    modular_ids = [cid for cid in all_check_ids() if cid != "id-4n3"]
+    bank = SeriesBank(POISON_BUDGET)
+    _, summary = run_checks(modular_ids, POISON_BUDGET, bank=bank)
+    assert summary == {"pass": 18, "fail": 0, "skipped": 0}
+    assert ("gf", 360, 300) in bank._cache
+    assert ("gf", None, 300) not in bank._cache
+
+
+def test_bank_raises_when_the_z360_routes_disagree(monkeypatch):
+    real = theta.euler_product
+
+    def corrupted(order, ring=EXACT, *, negated_argument=False):
+        e = real(order, ring, negated_argument=negated_argument)
+        return e.scale(7) if negated_argument and ring == mod_ring(360) else e
+
+    monkeypatch.setattr(theta, "euler_product", corrupted)
+    with pytest.raises(RouteMismatchError):
+        SeriesBank(POISON_BUDGET).overpartition(5)
 
 
 # -- arithmetic tables ----------------------------------------------------------------

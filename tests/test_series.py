@@ -246,6 +246,8 @@ def test_reduce_mod_rejects_bad_inputs():
     with pytest.raises(ValueError):
         S([1], mod_ring(5)).reduce_mod(5)
     with pytest.raises(ValueError):
+        S([1], mod_ring(360)).reduce_mod(7)
+    with pytest.raises(ValueError):
         S([1]).reduce_mod(1)
 
 
@@ -268,6 +270,13 @@ def test_reduce_mod_commutes_with_add_and_mul(xs, ys, m):
 def test_reduce_mod_commutes_with_pow(xs, e, m):
     a = S(xs)
     assert (a**e).reduce_mod(m) == a.reduce_mod(m) ** e
+
+
+@settings(max_examples=60)
+@given(_coeffs, _moduli)
+def test_reduce_mod_through_360_equals_direct_reduction(xs, m):
+    s = S(xs)
+    assert s.reduce_mod(360).reduce_mod(m) == s.reduce_mod(m)
 
 
 @settings(max_examples=60)
