@@ -12,13 +12,16 @@ substitution).  The coefficients are packed into fixed-width slots of one big
 integer, so the whole product is a single CPython big-integer multiply; a
 modular product is the integer product of the residues, reduced afterwards.
 Division a / s runs the power-series recurrence over the nonzero coefficients
-of s only, so dividing by a sparse series (theta, pentagonal) is cheap.
+of s only, each term costing one C-level itemgetter gather per distinct value
+of s (at most two for overq's divisors), so dividing by a sparse series
+(theta, pentagonal) is cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 
 class NonInvertibleError(ArithmeticError):
@@ -138,7 +141,7 @@ class TruncatedSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError(f"expected {self.order + 1} coefficients, got {len(self.coeffs)}")
         m = self.ring.modulus
-        if m is not None and any(c < 0 or c >= m for c in self.coeffs):
+        if m is not None and (min(self.coeffs) < 0 or max(self.coeffs) >= m):
             raise ValueError(f"coefficients must be canonical residues in [0, {m})")
 
     # -- constructors -------------------------------------------------------
@@ -217,24 +220,29 @@ class TruncatedSeries:
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient a / s through the shorter order; s must have a unit constant term.
 
-        Recurrence b_k = s_0^-1 * (a_k - sum_{j>=1} s_j b_{k-j}), iterating only
-        the nonzero s_j, so division by a sparse series (theta, pentagonal)
-        costs O(order * support) instead of O(order^2).
+        Recurrence b_k = s_0^-1 * (a_k - sum_{j>=1} s_j b_{k-j}) over the nonzero
+        s_j only.  Those are grouped by value c, and each group's sum is one C
+        call: an itemgetter over the offsets -j into the quotient list, which
+        is led by a 0 so that b[-j] is b_{k-j} and every gather is a tuple.
+        So b_k costs one gather per distinct value of s, at most two for
+        overq's divisors (+-1 for E(q), +-2 for phi(-q), or their residues).
         """
         self._require_same_ring(other)
         inv0 = self.ring.invert_unit(other.coeffs[0])
         n = min(self.order, other.order)
         m = self.ring.modulus
-        support = [(j, cj) for j, cj in enumerate(other.coeffs[: n + 1]) if j and cj]
-        b = [0] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j, cj in support:
-                if j > k:
-                    break
-                acc -= cj * b[k - j]
-            b[k] = inv0 * acc if m is None else inv0 * acc % m  # exact inv0 is +-1
-        return TruncatedSeries(self.ring, n, tuple(b))
+        offsets: dict[int, tuple[int, ...]] = {}  # c -> (0, -j for each s_j == c, j <= k)
+        gathers: dict[int, itemgetter] = {}
+        b = [0]
+        for k, (ak, sk) in enumerate(zip(self.coeffs, other.coeffs)):
+            if k and sk:
+                offsets[sk] = offsets.get(sk, (0,)) + (-k,)
+                gathers[sk] = itemgetter(*offsets[sk])
+            acc = ak
+            for c, gather in gathers.items():
+                acc -= c * sum(gather(b))
+            b.append(inv0 * acc if m is None else inv0 * acc % m)  # exact inv0 is +-1
+        return TruncatedSeries(self.ring, n, tuple(b[1:]))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse through the same order: one / self."""

@@ -46,8 +46,27 @@ MUTANTS = [
     Mutant(
         "division-support-truncated",
         "src/overq/series.py",
-        "enumerate(other.coeffs[: n + 1]) if j and cj]",
-        "enumerate(other.coeffs[: n // 2 + 1]) if j and cj]",
+        "            if k and sk:",
+        "            if 0 < k <= n // 2 and sk:",
+    ),
+    Mutant(
+        "division-gather-offset-off-by-one",
+        "src/overq/series.py",
+        "+ (-k,)",
+        "+ (-k + 1,)",
+    ),
+    Mutant(
+        "division-term-joins-gather-late",
+        "src/overq/series.py",
+        "                gathers[sk] = itemgetter(*offsets[sk])\n"
+        "            acc = ak\n"
+        "            for c, gather in gathers.items():\n"
+        "                acc -= c * sum(gather(b))\n",
+        "            acc = ak\n"
+        "            for c, gather in gathers.items():\n"
+        "                acc -= c * sum(gather(b))\n"
+        "            if k and sk:\n"
+        "                gathers[sk] = itemgetter(*offsets[sk])\n",
     ),
     Mutant(
         "packed-slot-drops-length-bits",

@@ -2,9 +2,9 @@
 
 Nothing in this module touches the series machinery: overpartitions are
 counted combinatorially, lattice points by literal nested loops, convolution
-by the naive definition, the r3 / r5 recursion steps with every constant
-recomputed per call.  These are the references the fast routes are measured
-against.
+and division by the naive definition, the r3 / r5 recursion steps with every
+constant recomputed per call.  These are the references the fast routes are
+measured against.
 """
 
 from __future__ import annotations
@@ -90,6 +90,20 @@ def naive_convolve(a: list[int], b: list[int], n: int) -> list[int]:
         for j, bj in enumerate(b[: n + 1 - i]):
             out[i + j] += ai * bj
     return out
+
+
+def naive_divide(a: list[int], s: list[int], n: int, m: int | None = None) -> list[int]:
+    """Truncated quotient a / s by the textbook recurrence over every j, O(n^2).
+
+    b_k = s_0^-1 (a_k - s_1 b_(k-1) - ... - s_k b_0), over Z when m is None
+    (s_0 must then be +-1, its own inverse) and reduced mod m otherwise.
+    """
+    inv0 = s[0] if m is None else pow(s[0], -1, m)
+    b: list[int] = []
+    for k in range(n + 1):
+        acc = inv0 * (a[k] - sum(s[j] * b[k - j] for j in range(1, k + 1)))
+        b.append(acc if m is None else acc % m)
+    return b
 
 
 def euler_product_binomial(order: int, negated: bool) -> list[int]:

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from overq.series import (
@@ -13,7 +13,7 @@ from overq.series import (
     mod_ring,
 )
 
-from oracles import naive_convolve, overpartitions_enumerated
+from oracles import naive_convolve, naive_divide, overpartitions_enumerated
 
 
 def S(coeffs, ring=EXACT):
@@ -31,8 +31,10 @@ def test_ringspec_validation():
 
 
 def test_modular_coefficients_must_be_canonical():
-    with pytest.raises(ValueError):
-        TruncatedSeries(mod_ring(5), 1, (1, 7))
+    for bad in ((1, 7), (1, -1), (-1, 1), (1, 5), (5, 0)):
+        with pytest.raises(ValueError, match=r"canonical residues in \[0, 5\)"):
+            TruncatedSeries(mod_ring(5), 1, bad)
+    assert TruncatedSeries(mod_ring(5), 1, (0, 4)).coeffs == (0, 4)
     # make() normalizes instead
     assert TruncatedSeries.make(mod_ring(5), [1, 7]).coeffs == (1, 2)
 
@@ -300,15 +302,18 @@ def test_inverse_is_an_involution(c0, rest):
 _sparse_tail = st.lists(st.one_of(st.just(0), st.integers(-(10**6), 10**6)), max_size=40)
 
 
+_DIVISION_MODULI = [None, 5, 8, 9, 40, 360]
+
+
 def _ring_and_constant(unit: bool):
-    """A ring drawn from EXACT and mod 5/8/9/40, with a constant term that is a unit or not."""
+    """A ring drawn from EXACT and mod 5/8/9/40/360, with a constant term that is a unit or not."""
 
     def constants(m):
         ring = EXACT if m is None else mod_ring(m)
         pool = [c for c in range(-80, 81) if (abs(c) == 1 if m is None else gcd(c, m) == 1) == unit]
         return st.tuples(st.just(ring), st.sampled_from(pool))
 
-    return st.sampled_from([None, 5, 8, 9, 40]).flatmap(constants)
+    return st.sampled_from(_DIVISION_MODULI).flatmap(constants)
 
 
 @settings(max_examples=60)
@@ -329,6 +334,57 @@ def test_division_by_non_unit_is_refused(xs, ring_s0, rest):
     ring, s0 = ring_s0
     with pytest.raises(NonInvertibleError):
         S(xs, ring) / S([s0] + rest, ring)
+
+
+def _assert_division_matches_oracle(xs, s_coeffs, m):
+    ring = EXACT if m is None else mod_ring(m)
+    a, s = S(xs, ring), S(s_coeffs, ring)
+    n = min(a.order, s.order)
+    quotient = a / s
+    assert quotient.order == n
+    assert list(quotient.coeffs) == naive_divide(list(a.coeffs), list(s.coeffs), n, m)
+
+
+# No shrink phase: shrinking a seeded Random against the O(n^2) oracle took
+# minutes per ring on a broken division and did not make the case smaller.
+@pytest.mark.parametrize("m", _DIVISION_MODULI)
+@settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    st.integers(0, 700),
+    st.integers(0, 300),
+    st.sampled_from([1, 2]),
+    st.randoms(use_true_random=False),
+)
+def test_division_by_theta_shaped_series_matches_naive(m, order, terms, weight, rnd):
+    # like E(q) (weight 1) and phi(-q) (weight 2): +-weight at up to 300 sparse
+    # positions, so each value's gather holds many offsets
+    s = [rnd.choice([1, -1])] + [0] * order
+    for j in rnd.sample(range(1, order + 1), min(terms, order)):
+        s[j] = rnd.choice([weight, -weight])
+    xs = [rnd.randint(-(10**6), 10**6) for _ in range(max(1, order + 1 + rnd.randint(-2, 2)))]
+    _assert_division_matches_oracle(xs, s, m)
+
+
+@settings(max_examples=60)
+@given(_coeffs, _ring_and_constant(unit=True), st.lists(st.integers(-(10**6), 10**6), max_size=80))
+def test_division_by_dense_series_matches_naive(xs, ring_s0, rest):
+    # dense divisors with many distinct values, one gather per value
+    ring, s0 = ring_s0
+    _assert_division_matches_oracle(xs, [s0] + rest, ring.modulus)
+
+
+@pytest.mark.parametrize("m", _DIVISION_MODULI)
+def test_division_edge_cases(m):
+    ring = EXACT if m is None else mod_ring(m)
+    norm = ring.normalize
+    # order 0
+    assert (S([7], ring) / S([-1], ring)).coeffs == (norm(-7),)
+    # a divisor that is only its constant term scales the dividend
+    xs = [3, 1, 4, 1, 5, 9, 2, 6]
+    only_constant = TruncatedSeries.make(ring, [-1], order=7)
+    assert (S(xs, ring) / only_constant).coeffs == tuple(norm(-x) for x in xs)
+    # a divisor shorter than the dividend cuts the quotient at its own order
+    _assert_division_matches_oracle(xs, [1, -1, 0, 2], m)
 
 
 def test_division_rejects_ring_mismatch():
