@@ -39,12 +39,14 @@ _SPOT_CHECK_COUNT = 16
 
 # The largest value each size flag accepts, by argparse dest.  max_arg, terms
 # and n set a series order.  At 10^5 the slowest command, `expand hs43-rhs`,
-# takes about 45 s on a 2-core VM with Python 3.11, and `verify --all` about
-# 17 s; larger values would run on for many minutes instead of failing fast.
+# takes about 42 s on a 2-core VM with Python 3.11, and `verify --all` about
+# 10 s; larger values would run on for many minutes instead of failing fast.
 # max_prime and max_alpha size the prime-power grids, and with them the
 # minimal arguments p^e of skipped points, which str() refuses past 4,300
 # digits: at both caps the longest has 1,131 digits, and
-# `verify --all --max-arg 100000` takes about 26 s.
+# `verify --all --max-arg 100000` takes about 21 s.  Series products check
+# their decimal slot width against the same limit; at 10^5 the widest slot
+# has 13 digits.
 SIZE_LIMITS = {
     "max_arg": 100_000,
     "terms": 100_001,

@@ -7,10 +7,12 @@ rings and truncate to the shorter order, so "working through q^N" is the
 default mode of every computation built on top.
 
 Multiplication is an exact Cauchy product truncated at the shorter order,
-computed one way for both rings: packed-integer convolution (Kronecker
-substitution).  The coefficients are packed into fixed-width slots of one big
-integer, so the whole product is a single CPython big-integer multiply; a
-modular product is the integer product of the residues, reduced afterwards.
+computed one way for both rings: Kronecker substitution in decimal.  The
+coefficients are packed into fixed-width decimal slots of one
+`decimal.Decimal` integer, so the whole product is a single multiply by
+libmpdec, whose number-theoretic transform beats CPython's Karatsuba on huge
+operands; a modular product is the integer product of the residues, reduced
+afterwards.
 Division a / s runs the power-series recurrence over the nonzero coefficients
 of s only, each term costing one C-level itemgetter gather per distinct value
 of s (at most two for overq's divisors), so dividing by a sparse series
@@ -19,7 +21,10 @@ of s (at most two for overq's divisors), so dividing by a sparse series
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from math import gcd
 from operator import itemgetter
 
@@ -75,48 +80,69 @@ def mod_ring(m: int) -> RingSpec:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _pack(cs: list[int], nbytes: int) -> tuple[int, int]:
-    """The positive part of cs and the magnitudes of its negative part, slot by slot."""
-    pos = bytearray(nbytes * len(cs))
-    neg = bytearray(nbytes * len(cs))
-    for i, v in enumerate(cs):
-        if v > 0:
-            pos[i * nbytes : (i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-        elif v < 0:
-            neg[i * nbytes : (i + 1) * nbytes] = (-v).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+# One context for every product: unlimited precision and exponent range, so
+# the packed operands and their product are exact integers.  It is never the
+# thread's context, which callers may have changed.
+_CTX = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _unpack(v: int, nbytes: int, count: int) -> list[int]:
-    # the full product spans up to twice count slots; short slices read as 0
-    raw = v.to_bytes(max((v.bit_length() + 7) // 8, nbytes * count), "little")
-    return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)]
+def _digits(x: int) -> int:
+    """Number of decimal digits of x >= 1, from its bit length; str(x) may be refused."""
+    d = (x.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2), so 10**d <= x
+    while 10 ** (d + 1) <= x:
+        d += 1
+    return d + 1
+
+
+def _pack(cs: list[int], w: int) -> Decimal:
+    """cs in w-digit decimal slots, slot i for cs[i]: its positive part minus its negative part."""
+    fmt = f"%0{w}d" * len(cs)
+    if min(cs) >= 0:
+        return Decimal(fmt % tuple(reversed(cs)))
+    pos = Decimal(fmt % tuple(c if c > 0 else 0 for c in reversed(cs)))
+    neg = Decimal(fmt % tuple(-c if c < 0 else 0 for c in reversed(cs)))
+    return _CTX.subtract(pos, neg)
 
 
 def _convolve_packed(a: list[int], b: list[int], n: int) -> list[int]:
-    """Truncated Cauchy product via Kronecker substitution.
+    """Truncated Cauchy product c[0..n] via Kronecker substitution in decimal.
 
-    Coefficients are packed into fixed-width slots of one big integer and the
-    whole convolution becomes a single CPython big-integer multiply.  Signs are
-    handled by splitting each operand into nonnegative and negative parts, so
-    every packed slot stays carry-free.
+    Each operand is packed into w-digit slots of one decimal integer
+    (coefficient i in slot i, so the operand is sum a_i X^i with X = 10^w),
+    and the whole convolution is a single libmpdec multiply, which uses a
+    number-theoretic transform on huge operands.  Every slot of the product
+    is bounded by B = min(|a|_1 max|b|, max|a| |b|_1); w = digits(B) + 1, so
+    |c_k| < X/10 and slots never carry into each other.  Nonnegative operands
+    (every residue product, every phi power) read their slots straight off
+    the digit string.  A signed operand is its positive part minus its
+    negative part; its product gets X/2 added to every slot, and a leading 1
+    above them all, so the digit string is nonnegative and each slot is
+    c_k + X/2 in [0, X).  Slots wider than sys.get_int_max_str_digits() could
+    not be converted to int, and raise ValueError instead.
     """
     amax = max(map(abs, a), default=0)
     bmax = max(map(abs, b), default=0)
     if amax == 0 or bmax == 0:
         return [0] * (n + 1)
-    # slot bound: sums of (n+1) products, twice (pos+pos and neg+neg share a slot)
-    slot_bits = amax.bit_length() + bmax.bit_length() + (n + 1).bit_length() + 2
-    nbytes = (slot_bits + 7) // 8
-    ap, an = _pack(a, nbytes)
-    bp, bn = _pack(b, nbytes)
-    pos = ap * bp + an * bn
-    neg = ap * bn + an * bp
-    cpos = _unpack(pos, nbytes, n + 1)
-    if neg == 0:
-        return cpos
-    cneg = _unpack(neg, nbytes, n + 1)
-    return [x - y for x, y in zip(cpos, cneg)]
+    bound = min(sum(map(abs, a)) * bmax, amax * sum(map(abs, b)))
+    w = _digits(bound) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and w > limit:
+        raise ValueError(
+            f"a product needs {w}-digit slots, more than the int/str conversion "
+            f"limit of {limit} digits (sys.get_int_max_str_digits())"
+        )
+    signed = min(a) < 0 or min(b) < 0
+    pa = _pack(a, w)
+    # the same object twice lets libmpdec square: two transforms instead of three
+    c = _CTX.multiply(pa, pa if a == b else _pack(b, w))
+    half = 10**w // 2
+    if signed:  # balanced slots: X/2 onto each of them, and a 1 above them all
+        c = _CTX.add(c, Decimal("1" + f"{half:0{w}d}" * (2 * n + 2)))
+    digits = str(c)[-(n + 1) * w :].rjust((n + 1) * w, "0")  # c >= 0: digits only
+    out = list(map(int, re.findall(f".{{{w}}}", digits)))
+    out.reverse()
+    return [x - half for x in out] if signed else out
 
 
 # ---------------------------------------------------------------------------

@@ -69,22 +69,34 @@ MUTANTS = [
         "                gathers[sk] = itemgetter(*offsets[sk])\n",
     ),
     Mutant(
-        "packed-slot-drops-length-bits",
+        "packed-slot-drops-margin-digit",
         "src/overq/series.py",
-        "+ (n + 1).bit_length() + 2",
-        "+ 2",
+        "w = _digits(bound) + 1",
+        "w = _digits(bound)",
     ),
     Mutant(
-        "packed-drops-cross-term",
+        "packed-width-bound-ignores-length",
         "src/overq/series.py",
-        "neg = ap * bn + an * bp",
-        "neg = ap * bn",
+        "bound = min(sum(map(abs, a)) * bmax, amax * sum(map(abs, b)))",
+        "bound = amax * bmax",
+    ),
+    Mutant(
+        "signed-unpack-drops-half-offset",
+        "src/overq/series.py",
+        "half = 10**w // 2",
+        "half = 0",
     ),
     Mutant(
         "packing-drops-negative-part",
         "src/overq/series.py",
-        "pos = ap * bp + an * bn",
-        "pos = ap * bp",
+        "return _CTX.subtract(pos, neg)",
+        "return pos",
+    ),
+    Mutant(
+        "square-shortcut-ignores-operand",
+        "src/overq/series.py",
+        "pa if a == b else",
+        "pa if len(a) == len(b) else",
     ),
     Mutant(
         "division-skips-unit-check",

@@ -1,15 +1,19 @@
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from overq import series
 from overq.series import (
     EXACT,
     NonInvertibleError,
     RingSpec,
     TruncatedSeries,
     _convolve_packed,
+    _digits,
     mod_ring,
 )
 
@@ -117,6 +121,90 @@ def test_convolve_packed_agrees_with_naive():
     for n in (0, 1, 60, 300):
         for a, b in (([top] * (n + 1), [top] * (n + 1)), ([top] * (n + 1), [-top] * (n + 1))):
             assert _convolve_packed(a, b, n) == naive_convolve(a, b, n), n
+
+
+def test_convolve_packed_slots_exactly_at_the_l1_linf_bound():
+    # c_k reaches min(|a|_1 max|b|, max|a| |b|_1) when every term of it has one sign.
+    # Magnitudes of all nines put that bound just under a power of ten, where a
+    # slot without its margin digit overflows half its width.
+    for n in (0, 1, 7, 40):
+        for top in (9, 99, 5, 10**20 - 1, 3 * 10**40):
+            flat = [top] * (n + 1)
+            alternating = [(-1) ** i * top for i in range(n + 1)]
+            ones = [1] * (n + 1)
+            lone = [top] + [0] * n  # |a|_1 = max|a|: the l1 side of the bound is the smaller
+            for a, b in (
+                (flat, flat),
+                (flat, [-x for x in flat]),
+                (alternating, alternating),
+                (alternating, [-x for x in alternating]),
+                (flat, [-1] * (n + 1)),
+                (lone, ones),
+                (lone, [-1] * (n + 1)),
+                ([-top] + [0] * n, ones),
+            ):
+                want = naive_convolve(a, b, n)
+                assert max(map(abs, want)) == min(
+                    sum(map(abs, a)) * max(map(abs, b)), max(map(abs, a)) * sum(map(abs, b))
+                )
+                assert _convolve_packed(a, b, n) == want, (n, top)
+                assert _convolve_packed(b, a, n) == want, (n, top)
+
+
+def test_convolve_packed_nonnegative_and_mixed_sign_paths():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.choice((0, 0, 1, 2, rng.randint(3, 80)))
+        # widths that differ a lot: 1-digit against 60-digit coefficients
+        wide = [rng.randint(0, 10**60) for _ in range(n + 1)]
+        narrow = [rng.randint(0, 9) for _ in range(n + 1)]
+        signed = [rng.randint(-(10**6), 10**6) for _ in range(n + 1)]
+        for a, b in ((wide, narrow), (narrow, wide), (narrow, narrow), (wide, signed), (signed, narrow)):
+            assert _convolve_packed(a, b, n) == naive_convolve(a, b, n), n
+    # n = 0 is one multiply of scalars, zero and either sign included
+    for x in (0, 1, -1, 7, -(10**50)):
+        for y in (0, 3, -3, 10**50):
+            assert _convolve_packed([x], [y], 0) == [x * y]
+    # a square packs once; an equal copy gives the same as the same list
+    a = [rng.randint(-(10**9), 10**9) for _ in range(30)]
+    assert _convolve_packed(a, a, 29) == _convolve_packed(a, list(a), 29) == naive_convolve(a, a, 29)
+
+
+def test_digit_count_from_bit_length():
+    for k in range(1, 400):
+        for x in (10 ** (k - 1), 10**k - 1, 2**k, 2**k - 1, 5 * 10 ** (k - 1)):
+            assert _digits(x) == len(str(x)), x
+
+
+def test_product_slots_past_the_int_str_limit_raise_a_clear_error():
+    # a 641-digit coefficient needs 642-digit slots, which a 640-digit limit
+    # refuses with overq's own message; 602-digit slots still work there
+    code = (
+        "from overq.series import _convolve_packed\n"
+        "assert _convolve_packed([10**600], [7], 0) == [7 * 10**600]\n"
+        "try:\n"
+        "    _convolve_packed([10**640], [1], 0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "642-digit slots" in proc.stdout and "limit of 640 digits" in proc.stdout
+
+
+def test_decimal_is_backed_by_libmpdec():
+    # the pure-Python fallback (_pydecimal) would make every product quadratic
+    import decimal
+
+    assert decimal.__libmpdec_version__
+    assert series.Decimal is decimal.Decimal
 
 
 # -- pow ---------------------------------------------------------------------
