@@ -223,6 +223,33 @@ def test_runs_are_deterministic_apart_from_timing():
     assert [strip(r) for r in first] == [strip(r) for r in second]
 
 
+# Points each check tests, pinned because the stream does not carry the count:
+# a grid that loses a point prints the same reports.
+_TESTED_AT_700 = {
+    "thm-main": 140, "thm-mod9": 233, "conj-40": 22, "mod8-criterion": 656, "id-4n3": 175,
+    "fam-5power": 2, "fam-5p3": 35, "fam-5p-high": 1808, "fam-3p-high": 2313,
+    "cor-5-4alpha": 71, "replay-phi5": 501, "replay-phi9": 501, "lemma-euler-power": 3507,
+    "final-step": 375, "rk-route-agreement": 2204, "lemma-r48-scaling": 11200,
+    "lemma-r3-four": 343, "lemma-r3-recursion": 141, "lemma-r5-recursion": 132,
+}
+_TESTED_AT_TINY = {
+    "thm-mod9": 1, "mod8-criterion": 1, "id-4n3": 1, "cor-5-4alpha": 2, "replay-phi5": 5,
+    "replay-phi9": 5, "lemma-euler-power": 5, "rk-route-agreement": 28, "lemma-r3-four": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "budget, expected",
+    [(SMALL, _TESTED_AT_700), (Budget(max_argument=4, max_prime=2, max_alpha=1), _TESTED_AT_TINY)],
+    ids=["700", "tiny"],
+)
+def test_tested_counts_are_pinned(budget, expected):
+    reports, _ = run_checks(all_check_ids(), budget)
+    assert {r.check_id: r.tested for r in reports} == {
+        cid: expected.get(cid, 0) for cid in all_check_ids()
+    }
+
+
 def test_skipped_never_silently_passes():
     # a budget too small for any qualifying 40n+35 instance must report skipped
     (rep,), _ = run_checks(["conj-40"], Budget(max_argument=30, max_prime=3, max_alpha=1))
