@@ -8,7 +8,6 @@ n up to a limit at once.  No probabilistic primality, no floating point.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
@@ -48,26 +47,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as ascending (prime, exponent) pairs; empty for 1."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = 1
-        for p, e in self.entries:
-            if p <= last:
-                raise ValueError(f"primes must be strictly ascending, got {p} after {last}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            last = p
-
-
-def factor(n: int) -> Factorization:
-    """Factor n >= 1 by trial division; factor(1) has no entries."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The ascending (prime, exponent) pairs of n >= 1, by trial division; () for 1."""
     if n <= 0:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     entries = []
@@ -94,13 +75,13 @@ def factor(n: int) -> Factorization:
             f += 2
     if m > 1:
         entries.append((m, 1))
-    return Factorization(tuple(entries))
+    return tuple(entries)
 
 
 def divisors(n: int) -> list[int]:
     """Ascending list of all divisors of n >= 1."""
     ds = [1]
-    for p, e in factor(n).entries:
+    for p, e in factor(n):
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return sorted(ds)
 

@@ -1,18 +1,16 @@
-"""Congruence sweeps: one checker per statement, machine-readable reports.
+"""Congruence sweeps: one registered checker per statement, machine-readable reports.
 
-Every checker derives its grid deterministically from a Budget, reads shared
-base series out of a SeriesBank, and feeds each grid point to its CheckReport,
-whose status is derived strictly from what was tested: fail iff
-counterexamples were found, skipped iff the budget left nothing to test.  Grid
-points whose smallest instance exceeds the budget are recorded in
-skipped_points with that minimal argument, so coverage accounting stays honest
-for the prime-power families whose first direct instances sit far beyond any
-series truncation.
-
-For those out-of-reach families the sweeps fall back to the quantity that
-drives them: the r3 / r5 divisibilities are evaluated through the prime-power
-recursions with in-budget base values, which is the same reduction that
-produces the overpartition statements in the first place.
+A checker derives its grid deterministically from a Budget, reads shared base
+series out of a SeriesBank, and feeds each grid point to its CheckReport, whose
+status follows from what was tested: fail iff counterexamples were found,
+skipped iff the budget left nothing to test.  Progression grids come from
+_grid, the one place that decides what lies beyond the budget: it records a
+grid point with no instance within it in skipped_points at its minimal
+argument.  _prime_power_family sweeps fam-5p-high and fam-3p-high, whose direct
+instances sit far beyond any series truncation, so it also checks the r3 / r5
+divisibility that drives them through the prime-power recursions from
+in-budget bases; _recursion_against_series sweeps the two recursion lemmas.
+The other checkers keep their own loops.
 """
 
 from __future__ import annotations
@@ -133,9 +131,22 @@ def _odd_primes(limit: int) -> list[int]:
     return [p for p in primes_up_to(limit) if p >= 3]
 
 
-def _coprime_to(d: int, limit: int) -> list[int]:
-    """1 <= n <= limit with d not dividing n."""
-    return [n for n in range(1, limit + 1) if n % d != 0]
+def _grid(
+    t: CheckReport | None, max_argument: int, step: int, offset=0, start=1, without=0, **point
+) -> range | list[int]:
+    """The n >= start with offset + step * n <= max_argument, leaving out the
+    multiples of `without` unless it is 0.  This decides every skip: with no
+    such n, a report t records the grid point `point` at its minimal argument.
+    """
+    hi = (max_argument - offset) // step
+    if not without:
+        grid = range(start, hi + 1)
+    else:
+        grid = [n for n in range(start, hi + 1) if n % without]
+    if not grid and t is not None:
+        first = start + 1 if without and start % without == 0 else start
+        t.skip(offset + step * first, **point)
+    return grid
 
 
 def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
@@ -276,10 +287,7 @@ def _check_fam_5power(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep
     for alpha in range(1, budget.max_alpha + 1):
         base = 5 ** (2 * alpha + 1)
         for r in (1, 4):
-            if base * r > M:
-                t.skip(base * r, alpha=alpha, residue=r)
-                continue
-            for n in range((M // base - r) // 5 + 1):
+            for n in _grid(t, M, 5 * base, base * r, start=0, alpha=alpha, residue=r):
                 arg = base * (5 * n + r)
                 v = gf5.coeffs[arg]
                 t.expect(
@@ -311,7 +319,7 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     gf5 = bank.overpartition(5)
     for p in ps:
         step = 5 * p**3
-        for n in _coprime_to(p, M // step):
+        for n in _grid(t, M, step, without=p, p=p, family="direct"):
             v = gf5.coeffs[step * n]
             t.expect(
                 v == 0,
@@ -319,9 +327,7 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
                 {"pbar_mod_5": v},
                 "pbar(5 p^3 n) == 0 (mod 5)",
             )
-        if step > M:
-            t.skip(step, p=p, family="direct")
-        for n0 in _coprime_to(p, M // p):
+        for n0 in _grid(None, M, p, without=p):
             val = r3_recursion(p, 1, p * n0, {p * n0: r3x.coeffs[p * n0]})
             t.expect(
                 val % 5 == 0,
@@ -332,92 +338,81 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     return parameters, (1, M)
 
 
-@_check(
+def _prime_power_family(q: int, k: int, gf_modulus: int, branches, labels, modulus_varies: bool):
+    """The sweep of pbar(q p^e N) == 0 (mod m) for odd primes p != q, N coprime
+    to p and e = slope * alpha + offset, for each (m, slope, offset) in branches(p).
+
+    Direct instances are read from the overpartition series mod gf_modulus;
+    the first ones (5 * 11^9 for q = 5) lie far beyond any budget.  The
+    divisibility r_k(p^e N) == 0 (mod m) that drives the family is checked
+    through the r_k recursion from every in-budget base r_k(pN).  labels name
+    the observed value and relation of a failing direct and recursion point; m
+    is named with each point if it varies by branch, else in the parameters.
+    """
+    pbar_value, pbar_relation, rk_value, rk_relation = labels
+
+    def sweep(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
+        M = budget.max_argument
+        gf = bank.overpartition(gf_modulus)
+        rk = bank.rk(k, None)
+        recursion = r3_recursion if k == 3 else r5_recursion
+        for p in _odd_primes(budget.max_prime):
+            if p == q:
+                continue
+            bases = _grid(None, M, p, without=p)
+            for m, slope, offset in branches(p):
+                named = {"modulus": m} if modulus_varies else {}
+                for alpha in range(budget.max_alpha + 1):
+                    e = slope * alpha + offset
+                    step = q * p**e
+                    half = (e - 1) // 2  # p^e N = p^(2 half) * pN
+                    args = lambda N: {"p": p, "alpha": alpha, "N": N, "exponent": e, **named}
+                    point = {"p": p, "alpha": alpha, "exponent": e, **named, "family": "direct"}
+                    direct = _grid(t, M, step, without=p, **point)
+                    for n in direct:
+                        if v := gf.coeffs[step * n] % m:
+                            t.record(args(n), {pbar_value: v}, pbar_relation)
+                    for n0 in bases:
+                        val = recursion(p, half, p * n0, {p * n0: rk.coeffs[p * n0]})
+                        if val % m:
+                            t.record(args(n0), {rk_value: val % m}, rk_relation)
+                    t.tested += len(direct) + len(bases)
+        parameters = {} if modulus_varies else {"modulus": gf_modulus}
+        return {**parameters, **asdict(budget)}, (1, M)
+
+    return sweep
+
+
+_check(
     "fam-5p-high",
     "pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5); pbar(5 p^(8a+7) N) == 0 (mod 5) "
     "for p == 2,3,4 (mod 5); N coprime to p; driven by the r3 recursion divisibility",
+)(
+    _prime_power_family(
+        q=5,
+        k=3,
+        gf_modulus=5,
+        branches=lambda p: [(5, 10, 9) if p % 5 == 1 else (5, 8, 7)],
+        labels=("pbar_mod_5", "pbar(5 p^e N) == 0 (mod 5)",
+                "r3_recursion_mod_5", "r3(p^e N) == 0 (mod 5)"),
+        modulus_varies=False,
+    )
 )
-def _check_fam_5p_high(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    """Direct instances (5 * 11^9 at the smallest) sit far beyond any series
-    budget and are recorded as skipped; the underlying divisibility
-    r3(p^(2b+1) N) == 0 (mod 5) is verified through the recursion with
-    in-budget bases r3(pN).
-    """
-    M = budget.max_argument
-    gf5 = bank.overpartition(5)
-    r3x = bank.rk(3, None)
-    for p in _odd_primes(budget.max_prime):
-        if p == 5:
-            continue
-        bases = _coprime_to(p, M // p)
-        for alpha in range(budget.max_alpha + 1):
-            e = 10 * alpha + 9 if p % 5 == 1 else 8 * alpha + 7
-            step = 5 * p**e
-            direct = _coprime_to(p, M // step)
-            for n in direct:
-                if v := gf5.coeffs[step * n]:
-                    t.record(
-                        {"p": p, "alpha": alpha, "N": n, "exponent": e},
-                        {"pbar_mod_5": v},
-                        "pbar(5 p^e N) == 0 (mod 5)",
-                    )
-            if step > M:
-                t.skip(step, p=p, alpha=alpha, exponent=e, family="direct")
-            for n0 in bases:
-                val = r3_recursion(p, (e - 1) // 2, p * n0, {p * n0: r3x.coeffs[p * n0]})
-                if val % 5 != 0:
-                    t.record(
-                        {"p": p, "alpha": alpha, "N": n0, "exponent": e},
-                        {"r3_recursion_mod_5": val % 5},
-                        "r3(p^e N) == 0 (mod 5)",
-                    )
-            t.tested += len(direct) + len(bases)
-    return {"modulus": 5, **asdict(budget)}, (1, M)
-
-
-@_check(
+_check(
     "fam-3p-high",
     "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
     "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
+)(
+    _prime_power_family(
+        q=3,
+        k=5,
+        gf_modulus=9,
+        branches=lambda p: [(3, 6, 5), (9, 18, 17)] if p % 3 == 1 else [(9, 4, 3)],
+        labels=("pbar_residue", "pbar(3 p^e N) == 0 (mod m)",
+                "r5_recursion_residue", "r5(p^e N) == 0 (mod m)"),
+        modulus_varies=True,
+    )
 )
-def _check_fam_3p_high(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    """Same scheme as the quintic families: direct instances within budget are
-    read from the overpartition series mod 9; the rest is verified through the
-    r5 recursion with in-budget bases r5(pN).
-    """
-    M = budget.max_argument
-    gf9 = bank.overpartition(9)
-    r5x = bank.rk(5, None)
-    for p in _odd_primes(budget.max_prime):
-        if p == 3:
-            continue
-        bases = _coprime_to(p, M // p)
-        # (modulus, e = slope * alpha + offset) per residue class of p mod 3
-        branches = [(3, 6, 5), (9, 18, 17)] if p % 3 == 1 else [(9, 4, 3)]
-        for modulus, slope, offset in branches:
-            for alpha in range(budget.max_alpha + 1):
-                e = slope * alpha + offset
-                step = 3 * p**e
-                direct = _coprime_to(p, M // step)
-                for n in direct:
-                    if v := gf9.coeffs[step * n] % modulus:
-                        t.record(
-                            {"p": p, "alpha": alpha, "N": n, "exponent": e, "modulus": modulus},
-                            {"pbar_residue": v},
-                            "pbar(3 p^e N) == 0 (mod m)",
-                        )
-                if step > M:
-                    t.skip(step, p=p, alpha=alpha, exponent=e, modulus=modulus, family="direct")
-                for n0 in bases:
-                    val = r5_recursion(p, (e - 1) // 2, p * n0, {p * n0: r5x.coeffs[p * n0]})
-                    if val % modulus != 0:
-                        t.record(
-                            {"p": p, "alpha": alpha, "N": n0, "exponent": e, "modulus": modulus},
-                            {"r5_recursion_residue": val % modulus},
-                            "r5(p^e N) == 0 (mod m)",
-                        )
-                t.tested += len(direct) + len(bases)
-    return asdict(budget), (1, M)
 
 
 @_check(
@@ -591,9 +586,7 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     r3x = bank.rk(3, None)
     for alpha in range(budget.max_alpha + 1):
         base = 4**alpha
-        if base * 7 > M:
-            t.skip(base * 7, alpha=alpha, family="vanishing")
-        for n in range((M // base + 1) // 8):  # base * (8n + 7) <= M
+        for n in _grid(t, M, 8 * base, 7 * base, start=0, alpha=alpha, family="vanishing"):
             arg = base * (8 * n + 7)
             t.expect(
                 r3x.coeffs[arg] == 0,
@@ -603,9 +596,7 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
             )
         if alpha == 0:
             continue
-        if base > M:
-            t.skip(base, alpha=alpha, family="invariance")
-        for n in range(1, M // base + 1):
+        for n in _grid(t, M, base, alpha=alpha, family="invariance"):
             t.expect(
                 r3x.coeffs[base * n] == r3x.coeffs[n],
                 {"alpha": alpha, "n": n},
@@ -615,56 +606,45 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     return {"max_argument": M, "max_alpha": budget.max_alpha}, (1, M)
 
 
-@_check(
+def _recursion_against_series(k: int, without_square: bool):
+    """The sweep of the r_k prime-power recursion against the series at p^(2a) n, from
+    r_k(n) and, if p^2 | n, r_k(n / p^2); without_square leaves out the n that p^2 divides.
+    """
+
+    def sweep(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
+        M = budget.max_argument
+        rk = bank.rk(k, None)
+        recursion = r3_recursion if k == 3 else r5_recursion
+        relation = f"r{k} recursion matches the series"
+        for p in _odd_primes(budget.max_prime):
+            psq = p * p
+            for alpha in range(1, budget.max_alpha + 1):
+                p2a = p ** (2 * alpha)
+                for n in _grid(t, M, p2a, without=psq if without_square else 0, p=p, alpha=alpha):
+                    base = {n: rk.coeffs[n]}
+                    if n % psq == 0:
+                        base[n // psq] = rk.coeffs[n // psq]
+                    got = recursion(p, alpha, n, base)
+                    want = rk.coeffs[p2a * n]
+                    t.expect(
+                        got == want,
+                        {"p": p, "alpha": alpha, "n": n},
+                        {"recursion": got, "series": want},
+                        relation,
+                    )
+        return asdict(budget), (1, M)
+
+    return sweep
+
+
+_check(
     "lemma-r3-recursion",
     "the r3 prime-power recursion reproduces the series coefficients at p^(2a) n, all n",
-)
-def _check_r3_recursion(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    M = budget.max_argument
-    r3x = bank.rk(3, None)
-    for p in _odd_primes(budget.max_prime):
-        psq = p * p
-        for alpha in range(1, budget.max_alpha + 1):
-            p2a = p ** (2 * alpha)
-            if p2a > M:
-                t.skip(p2a, p=p, alpha=alpha)
-            for n in range(1, M // p2a + 1):
-                base = {n: r3x.coeffs[n]}
-                if n % psq == 0:
-                    base[n // psq] = r3x.coeffs[n // psq]
-                got = r3_recursion(p, alpha, n, base)
-                want = r3x.coeffs[p2a * n]
-                t.expect(
-                    got == want,
-                    {"p": p, "alpha": alpha, "n": n},
-                    {"recursion": got, "series": want},
-                    "r3 recursion matches the series",
-                )
-    return asdict(budget), (1, M)
-
-
-@_check(
+)(_recursion_against_series(3, without_square=False))
+_check(
     "lemma-r5-recursion",
     "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
-)
-def _check_r5_recursion(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    M = budget.max_argument
-    r5x = bank.rk(5, None)
-    for p in _odd_primes(budget.max_prime):
-        for alpha in range(1, budget.max_alpha + 1):
-            p2a = p ** (2 * alpha)
-            if p2a > M:
-                t.skip(p2a, p=p, alpha=alpha)
-            for n in _coprime_to(p * p, M // p2a):
-                got = r5_recursion(p, alpha, n, {n: r5x.coeffs[n]})
-                want = r5x.coeffs[p2a * n]
-                t.expect(
-                    got == want,
-                    {"p": p, "alpha": alpha, "n": n},
-                    {"recursion": got, "series": want},
-                    "r5 recursion matches the series",
-                )
-    return asdict(budget), (1, M)
+)(_recursion_against_series(5, without_square=True))
 
 
 # ---------------------------------------------------------------------------

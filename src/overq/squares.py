@@ -42,7 +42,7 @@ class RkMethod(Enum):
 
 def _odd_square_factor(n: int) -> tuple[int, int] | None:
     """(p, e) for the smallest odd prime p whose square divides n >= 1, p^e || n; else None."""
-    return next(((p, e) for p, e in factor(n).entries if p != 2 and e >= 2), None)
+    return next(((p, e) for p, e in factor(n) if p != 2 and e >= 2), None)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,30 @@ MUTANTS = [
         "else -inv0 * acc % m",
     ),
     Mutant(
+        "r3-four-grid-drops-last-point",
+        "src/overq/checks.py",
+        "_grid(t, M, 8 * base, 7 * base",
+        "_grid(t, M - 1, 8 * base, 7 * base",
+    ),
+    Mutant(
+        "mod8-grid-drops-last-point",
+        "src/overq/checks.py",
+        "range(1, M + 1)",
+        "range(1, M)",
+    ),
+    Mutant(
+        "grid-keeps-multiples",
+        "src/overq/checks.py",
+        "if n % without]",
+        "if n % without or True]",
+    ),
+    Mutant(
+        "grid-skips-at-a-multiple",
+        "src/overq/checks.py",
+        "first = start + 1 if without and start % without == 0 else start",
+        "first = start",
+    ),
+    Mutant(
         "crt-sign",
         "src/overq/checks.py",
         "(r2 - r1)",

@@ -3,7 +3,6 @@ from math import prod
 import pytest
 
 from overq.arith import (
-    Factorization,
     divisor_sums,
     divisors,
     divisors_filtered,
@@ -16,23 +15,22 @@ from overq.arith import (
 
 
 def test_factor_one_is_empty_product():
-    f = factor(1)
-    assert f.entries == ()
+    assert factor(1) == ()
 
 
 def test_factor_12():
-    assert factor(12).entries == ((2, 2), (3, 1))
+    assert factor(12) == ((2, 2), (3, 1))
 
 
 def test_factor_9999():
     # cross-checked by hand trial division: 9999 = 3^2 * 11 * 101
-    assert factor(9999).entries == ((3, 2), (11, 1), (101, 1))
+    assert factor(9999) == ((3, 2), (11, 1), (101, 1))
 
 
 def test_factor_large_prime_tail():
     # the cofactor after small-prime stripping is prime and must be kept
     n = 2 * 1_000_003
-    assert factor(n).entries == ((2, 1), (1_000_003, 1))
+    assert factor(n) == ((2, 1), (1_000_003, 1))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -12])
@@ -41,19 +39,13 @@ def test_factor_rejects_nonpositive(bad):
         factor(bad)
 
 
-def test_factorization_invariants_enforced():
-    with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)))  # not ascending
-    with pytest.raises(ValueError):
-        Factorization(((4, 1),))  # not prime
-    with pytest.raises(ValueError):
-        Factorization(((2, 0),))  # exponent < 1
-
-
 def test_factor_reconstructs_everything_up_to_10000():
     for n in range(1, 10_001):
-        entries = factor(n).entries
+        entries = factor(n)
         assert prod(p**e for p, e in entries) == n
+        primes = [p for p, _ in entries]
+        assert primes == sorted(set(primes))  # strictly ascending
+        assert all(is_prime(p) and e >= 1 for p, e in entries)
         ds = divisors(n)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == prod(e + 1 for _, e in entries)

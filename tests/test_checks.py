@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overq import checks, theta
 from overq.checks import (
@@ -248,6 +251,30 @@ def test_tested_counts_are_pinned(budget, expected):
     assert {r.check_id: r.tested for r in reports} == {
         cid: expected.get(cid, 0) for cid in all_check_ids()
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    max_argument=st.integers(0, 300),
+    step=st.integers(1, 40),
+    offset=st.integers(0, 60),
+    start=st.sampled_from([0, 1]),
+    without=st.sampled_from([0, 2, 3, 4, 9]),
+)
+def test_grid_against_brute_force(max_argument, step, offset, start, without):
+    allowed = lambda n: without == 0 or n % without != 0
+    candidates = [n for n in range(start, max_argument + 1) if allowed(n)]
+    expected = [n for n in candidates if offset + step * n <= max_argument]
+    t = CheckReport("grid")
+    grid = checks._grid(t, max_argument, step, offset, start, without, a=1, b=2)
+    assert list(grid) == expected
+    # skipped exactly when nothing is in budget, at the first allowed n's argument
+    first = next(n for n in itertools.count(start) if allowed(n))
+    skipped = [{"a": 1, "b": 2, "minimal_argument": str(offset + step * first)}]
+    assert t.skipped_points == ([] if expected else skipped)
+    assert t.tested == 0 and t.counterexamples == []
+    # without a report nothing is recorded, and the grid is the same
+    assert list(checks._grid(None, max_argument, step, offset, start, without)) == expected
 
 
 def test_skipped_never_silently_passes():
