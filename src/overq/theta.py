@@ -77,16 +77,17 @@ def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     return via_theta
 
 
-def p4n3_product_form(order: int) -> TruncatedSeries:
-    """8 * (q^2;q^2) * (q^4;q^4)^6 / (q;q)^8 over exact integers.
+def p4n3_product_form(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
+    """8 * (q^2;q^2) * (q^4;q^4)^6 / (q;q)^8 in the given ring.
 
     (q^4;q^4)^6 is (q;q)^6 built at a quarter of the order and spread onto every
     fourth exponent; eight sparse divisions by (q;q) follow.  Term n equals the
     overpartition count of 4n+3; no series is shared with the theta route that
-    id-4n3 checks it against.  Modular variants are reduce_mod of this one.
+    id-4n3 checks it against.  A residue build equals the exact one reduced:
+    (q;q) has constant term 1, so reduction commutes with each division.
     """
-    e1 = euler_product(order)
-    e6 = TruncatedSeries.make(EXACT, (euler_product(order // 4) ** 6).coeffs, order)
+    e1 = euler_product(order, ring)
+    e6 = TruncatedSeries.make(ring, (euler_product(order // 4, ring) ** 6).coeffs, order)
     rhs = e1.substitute_power(2) * e6.substitute_power(4)
     for _ in range(8):
         rhs = rhs / e1
@@ -98,11 +99,7 @@ SERIES_NAMES = ("phi", "euler", "neg-euler", "overpartition", "hs43-rhs")
 
 
 def build_named_series(name: str, order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
-    """Construct one of the named series for CLI use.
-
-    hs43-rhs is constructed over exact integers and reduced afterwards when a
-    modular ring is requested; every other name builds in the target ring.
-    """
+    """Construct one of the named series for CLI use; every name builds in the target ring."""
     if name == "phi":
         return phi(order, ring)
     if name == "euler":
@@ -112,6 +109,5 @@ def build_named_series(name: str, order: int, ring: RingSpec = EXACT) -> Truncat
     if name == "overpartition":
         return overpartition_gf(order, ring)
     if name == "hs43-rhs":
-        rhs = p4n3_product_form(order)
-        return rhs.reduce_mod(ring.modulus) if ring.is_modular else rhs
+        return p4n3_product_form(order, ring)
     raise ValueError(f"unknown series {name!r}; expected one of {SERIES_NAMES}")

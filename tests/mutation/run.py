@@ -225,6 +225,24 @@ MUTANTS = [
         "if g == 0:",
     ),
     Mutant(
+        "product-form-sixth-power-stays-exact",
+        "src/overq/theta.py",
+        "e6 = TruncatedSeries.make(ring,",
+        "e6 = TruncatedSeries.make(EXACT,",
+    ),
+    Mutant(
+        "expand-line-format",
+        "src/overq/cli.py",
+        '"coeff": "{c}"',
+        '"coeff":"{c}"',
+    ),
+    Mutant(
+        "broken-pipe-exit-code",
+        "src/overq/cli.py",
+        "return EXIT_BROKEN_PIPE",
+        "return EXIT_COUNTEREXAMPLE",
+    ),
+    Mutant(
         "verify-exit-reads-wrong-count",
         "src/overq/cli.py",
         'counts["fail"]',

@@ -9,7 +9,9 @@ import pytest
 
 from overq import cli
 from overq.cli import _applicable_methods, main
+from overq.series import EXACT, mod_ring
 from overq.squares import RkMethod
+from overq.theta import SERIES_NAMES, build_named_series
 
 from oracles import overpartitions_enumerated
 
@@ -81,6 +83,37 @@ def test_expand_hs43_mod8_is_zero(capsys):
     code, out, _ = run_cli(capsys, "expand", "hs43-rhs", "--terms", "12", "--mod", "8")
     assert code == 0
     assert all(r["coeff"] == "0" for r in jsonl(out))
+
+
+@pytest.mark.parametrize("mod", [None, 40])
+@pytest.mark.parametrize("name", SERIES_NAMES)
+def test_expand_writes_the_bytes_of_json_dumps(capsys, name, mod):
+    # euler's coefficients are negative, overpartition's reach 21 digits at 300 terms
+    argv = ["expand", name, "--terms", "300"] + (["--mod", str(mod)] if mod else [])
+    code, out, _ = run_cli(capsys, *argv)
+    series = build_named_series(name, 299, mod_ring(mod) if mod else EXACT)
+    assert code == 0
+    assert out == "".join(json.dumps({"n": n, "coeff": str(c)}) + "\n" for n, c in enumerate(series.coeffs))
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # one process, one parser: no flag or default of a call reaches the next
+    def coeffs(out):
+        return [r["coeff"] for r in jsonl(out)]
+
+    code, out, _ = run_cli(capsys, "expand", "overpartition", "--terms", "6", "--mod", "5")
+    assert (code, coeffs(out)) == (0, ["1", "2", "4", "3", "4", "4"])
+    code, out, _ = run_cli(capsys, "expand", "overpartition", "--terms", "6")
+    assert (code, coeffs(out)) == (0, ["1", "2", "4", "8", "14", "24"])
+    code, out, _ = run_cli(capsys, "rk", "--k", "8", "--n", "2", "--method", "formula", "--cross-check")
+    assert (code, jsonl(out)) == (0, ["112"])
+    code, out, _ = run_cli(capsys, "rk", "--k", "4", "--n", "12", "--method", "formula")
+    assert (code, jsonl(out)) == (0, ["96"])
+    code, out, err = run_cli(capsys, "rk", "--k", "4", "--n", "12")
+    assert (code, out) == (2, "") and "--method" in err
+    code, out, _ = run_cli(capsys, "expand", "phi", "--terms", "3")
+    assert (code, coeffs(out)) == (0, ["1", "2", "0"])
+    assert cli._build_parser() is cli._build_parser()
 
 
 # -- rk ----------------------------------------------------------------------------
@@ -307,6 +340,26 @@ def test_console_entry_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '"96"'
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 2.4 MB of output, more than a pipe holds, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "overq", "expand", "phi", "--terms", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b'{"n": 0, "coeff": "1"}\n'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")  # 128 + SIGPIPE, as a shell reports it
+
+
+def test_import_builds_no_parser():
+    code = "import overq.cli; print(overq.cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_runs_without_numpy():

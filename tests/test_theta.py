@@ -184,7 +184,9 @@ def test_build_named_series_names():
 
 
 def test_build_named_series_modular_product_form_reduces():
+    # the residue build equals the exact one reduced, at the moduli of the paper's congruences
     exact = build_named_series("hs43-rhs", 20)
-    modular = build_named_series("hs43-rhs", 20, mod_ring(8))
-    assert modular == exact.reduce_mod(8)
-    assert set(modular.coeffs) == {0}  # every pbar(4n+3) is divisible by 8
+    for m in (5, 8, 9, 40):
+        modular = build_named_series("hs43-rhs", 20, mod_ring(m))
+        assert modular == exact.reduce_mod(m), m
+    assert set(build_named_series("hs43-rhs", 20, mod_ring(8)).coeffs) == {0}  # 8 | pbar(4n+3)
