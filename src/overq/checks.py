@@ -6,11 +6,11 @@ status follows from what was tested: fail iff counterexamples were found,
 skipped iff the budget left nothing to test.  Progression grids come from
 _grid, the one place that decides what lies beyond the budget: it records a
 grid point with no instance within it in skipped_points at its minimal
-argument.  _prime_power_family sweeps fam-5p-high and fam-3p-high, whose direct
-instances sit far beyond any series truncation, so it also checks the r3 / r5
-divisibility that drives them through the prime-power recursions from
-in-budget bases; _recursion_against_series sweeps the two recursion lemmas.
-The other checkers keep their own loops.
+argument.  Three sweep shapes each serve two checks, take only the numbers of
+their statements and derive the rest: _signed_progression (thm-main,
+thm-mod9), _prime_power_family (fam-5p-high, fam-3p-high) and
+_recursion_against_series (the two recursion lemmas).  The other checkers
+keep their own loops.
 """
 
 from __future__ import annotations
@@ -116,11 +116,6 @@ def _check(check_id: str, statement: str, skip_reason: str | None = None):
     return register
 
 
-def _signed(value: int, n: int, m: int) -> int:
-    """(-1)^n * value as a canonical residue mod m."""
-    return value if n % 2 == 0 else (m - value) % m
-
-
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
     """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
     inv = pow(m1, -1, m2)
@@ -165,52 +160,46 @@ def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@_check("thm-main", "pbar(5n) == (-1)^n r3(n) (mod 5) for n >= 1", "needs max_argument >= 5")
-def _check_thm_main(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    hi = budget.max_argument // 5
-    if hi >= 1:
-        gf5 = bank.overpartition(5)
-        r3 = bank.rk(3, 5)
-        for n in range(1, hi + 1):
-            left = gf5.coeffs[5 * n]
-            right = _signed(r3.coeffs[n], n, 5)
-            t.expect(
-                left == right,
-                {"n": n},
-                {"pbar_5n_mod_5": left, "signed_r3_mod_5": right},
-                "pbar(5n) == (-1)^n r3(n) (mod 5)",
-            )
-    return {"modulus": 5, "max_argument": budget.max_argument}, (1, max(hi, 0))
+def _signed_progression(q: int, k: int, m: int, subset: int | None = None):
+    """The sweep of pbar(q n) == (-1)^n r_k(n) (mod m) for n >= 1, each failure also
+    compared mod subset, if given.  Keys, relations and parameters follow from
+    q, k and m; a point names its modulus only when a subset makes two of them.
+    """
+    moduli = (m, subset) if subset else (m,)
+    labels = {
+        mod: (f"pbar_{q}n_mod_{mod}", f"signed_r{k}_mod_{mod}",
+              f"pbar({q}n) == (-1)^n r{k}(n) (mod {mod})")
+        for mod in moduli
+    }
+    parameters = {"modulus": m, "subset_modulus": subset} if subset else {"modulus": m}
+
+    def sweep(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
+        hi = budget.max_argument // q
+        if hi >= 1:
+            gf = bank.overpartition(m).coeffs
+            signed = bank.rk(k, m).alternate_signs().coeffs
+            for n, left, right in zip(range(1, hi + 1), gf[q::q], signed[1:]):
+                if left == right:
+                    continue
+                for mod in moduli:
+                    if (left - right) % mod:
+                        left_key, right_key, relation = labels[mod]
+                        point = {"n": n, "modulus": mod} if subset else {"n": n}
+                        t.record(point, {left_key: left % mod, right_key: right % mod}, relation)
+            t.tested += hi
+        return {**parameters, "max_argument": budget.max_argument}, (1, hi)
+
+    return sweep
 
 
-@_check(
+_check("thm-main", "pbar(5n) == (-1)^n r3(n) (mod 5) for n >= 1", "needs max_argument >= 5")(
+    _signed_progression(5, 3, 5)
+)
+_check(
     "thm-mod9",
     "pbar(3n) == (-1)^n r5(n) (mod 9) for n >= 1, plus the weaker mod-3 form",
     "needs max_argument >= 3",
-)
-def _check_thm_mod9(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
-    hi = budget.max_argument // 3
-    if hi >= 1:
-        gf9 = bank.overpartition(9)
-        r5 = bank.rk(5, 9)
-        for n in range(1, hi + 1):
-            left = gf9.coeffs[3 * n]
-            right = _signed(r5.coeffs[n], n, 9)
-            t.expect(
-                left == right,
-                {"n": n, "modulus": 9},
-                {"pbar_3n_mod_9": left, "signed_r5_mod_9": right},
-                "pbar(3n) == (-1)^n r5(n) (mod 9)",
-            )
-            # mod-3 subset: same comparison pushed down to residues mod 3
-            if left % 3 != right % 3:
-                t.record(
-                    {"n": n, "modulus": 3},
-                    {"pbar_3n_mod_3": left % 3, "signed_r5_mod_3": right % 3},
-                    "pbar(3n) == (-1)^n r5(n) (mod 3)",
-                )
-    parameters = {"modulus": 9, "subset_modulus": 3, "max_argument": budget.max_argument}
-    return parameters, (1, max(hi, 0))
+)(_signed_progression(3, 5, 9, subset=3))
 
 
 @_check(
@@ -315,7 +304,7 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     if not ps:
         t.skip_reason = "no primes == 4 (mod 5) within max_prime"
         return parameters, (0, 0)
-    r3x = bank.rk(3, None)
+    r3 = bank.rk(3, None).coeffs
     gf5 = bank.overpartition(5)
     for p in ps:
         step = 5 * p**3
@@ -328,7 +317,7 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
                 "pbar(5 p^3 n) == 0 (mod 5)",
             )
         for n0 in _grid(None, M, p, without=p):
-            val = r3_recursion(p, 1, p * n0, {p * n0: r3x.coeffs[p * n0]})
+            val = r3_recursion(p, 1, p * n0, r3)
             t.expect(
                 val % 5 == 0,
                 {"p": p, "n": n0, "argument_exponent": 3},
@@ -338,30 +327,36 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     return parameters, (1, M)
 
 
-def _prime_power_family(q: int, k: int, gf_modulus: int, branches, labels, modulus_varies: bool):
+def _prime_power_family(q: int, k: int, branches: dict[int, list[tuple[int, int, int]]]):
     """The sweep of pbar(q p^e N) == 0 (mod m) for odd primes p != q, N coprime
-    to p and e = slope * alpha + offset, for each (m, slope, offset) in branches(p).
+    to p and e = slope * alpha + offset, for each (m, slope, offset) in
+    branches[p % q].
 
-    Direct instances are read from the overpartition series mod gf_modulus;
-    the first ones (5 * 11^9 for q = 5) lie far beyond any budget.  The
-    divisibility r_k(p^e N) == 0 (mod m) that drives the family is checked
-    through the r_k recursion from every in-budget base r_k(pN).  labels name
-    the observed value and relation of a failing direct and recursion point; m
-    is named with each point if it varies by branch, else in the parameters.
+    Direct instances are read from the overpartition series mod the largest m,
+    which every m divides; the first ones, q p^e at the smallest p, are 375 for
+    q = 3 and 10,935 for q = 5.  The divisibility r_k(p^e N) == 0 (mod m) that
+    drives the family is checked through the r_k recursion from every in-budget
+    base r_k(pN).  m is named with each point if it varies by branch, else in
+    the parameters, and the labels of a failing point follow suit.
     """
-    pbar_value, pbar_relation, rk_value, rk_relation = labels
+    moduli = {m for rows in branches.values() for m, _, _ in rows}
+    gf_modulus = max(moduli)
+    varies = len(moduli) > 1
+    value, mod = ("residue", "m") if varies else (f"mod_{gf_modulus}", gf_modulus)
+    pbar_value, pbar_relation = f"pbar_{value}", f"pbar({q} p^e N) == 0 (mod {mod})"
+    rk_value, rk_relation = f"r{k}_recursion_{value}", f"r{k}(p^e N) == 0 (mod {mod})"
 
     def sweep(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
         M = budget.max_argument
         gf = bank.overpartition(gf_modulus)
-        rk = bank.rk(k, None)
+        rk = bank.rk(k, None).coeffs
         recursion = r3_recursion if k == 3 else r5_recursion
         for p in _odd_primes(budget.max_prime):
             if p == q:
                 continue
             bases = _grid(None, M, p, without=p)
-            for m, slope, offset in branches(p):
-                named = {"modulus": m} if modulus_varies else {}
+            for m, slope, offset in branches[p % q]:
+                named = {"modulus": m} if varies else {}
                 for alpha in range(budget.max_alpha + 1):
                     e = slope * alpha + offset
                     step = q * p**e
@@ -373,11 +368,11 @@ def _prime_power_family(q: int, k: int, gf_modulus: int, branches, labels, modul
                         if v := gf.coeffs[step * n] % m:
                             t.record(args(n), {pbar_value: v}, pbar_relation)
                     for n0 in bases:
-                        val = recursion(p, half, p * n0, {p * n0: rk.coeffs[p * n0]})
+                        val = recursion(p, half, p * n0, rk)
                         if val % m:
                             t.record(args(n0), {rk_value: val % m}, rk_relation)
                     t.tested += len(direct) + len(bases)
-        parameters = {} if modulus_varies else {"modulus": gf_modulus}
+        parameters = {} if varies else {"modulus": gf_modulus}
         return {**parameters, **asdict(budget)}, (1, M)
 
     return sweep
@@ -387,32 +382,12 @@ _check(
     "fam-5p-high",
     "pbar(5 p^(10a+9) N) == 0 (mod 5) for p == 1 (mod 5); pbar(5 p^(8a+7) N) == 0 (mod 5) "
     "for p == 2,3,4 (mod 5); N coprime to p; driven by the r3 recursion divisibility",
-)(
-    _prime_power_family(
-        q=5,
-        k=3,
-        gf_modulus=5,
-        branches=lambda p: [(5, 10, 9) if p % 5 == 1 else (5, 8, 7)],
-        labels=("pbar_mod_5", "pbar(5 p^e N) == 0 (mod 5)",
-                "r3_recursion_mod_5", "r3(p^e N) == 0 (mod 5)"),
-        modulus_varies=False,
-    )
-)
+)(_prime_power_family(5, 3, {1: [(5, 10, 9)], 2: [(5, 8, 7)], 3: [(5, 8, 7)], 4: [(5, 8, 7)]}))
 _check(
     "fam-3p-high",
     "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
     "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
-)(
-    _prime_power_family(
-        q=3,
-        k=5,
-        gf_modulus=9,
-        branches=lambda p: [(3, 6, 5), (9, 18, 17)] if p % 3 == 1 else [(9, 4, 3)],
-        labels=("pbar_residue", "pbar(3 p^e N) == 0 (mod m)",
-                "r5_recursion_residue", "r5(p^e N) == 0 (mod m)"),
-        modulus_varies=True,
-    )
-)
+)(_prime_power_family(3, 5, {1: [(3, 6, 5), (9, 18, 17)], 2: [(9, 4, 3)]}))
 
 
 @_check(
@@ -430,11 +405,12 @@ def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: CheckReport) -> Swe
             {"pbar_mod_5": v},
             "pbar(4^a (40n+35)) == 0 (mod 5)",
         )
+    signed = gf5.extract_progression(5, 0).alternate_signs().coeffs
     for alpha in range(budget.max_alpha + 1):
         step = 5 * 4 ** (alpha + 1)
         for n in range(M // step + 1):
             left = gf5.coeffs[step * n]
-            right = _signed(gf5.coeffs[5 * n], n, 5)
+            right = signed[n]
             t.expect(
                 left == right,
                 {"part": 2, "alpha": alpha, "n": n},
@@ -606,26 +582,24 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     return {"max_argument": M, "max_alpha": budget.max_alpha}, (1, M)
 
 
-def _recursion_against_series(k: int, without_square: bool):
-    """The sweep of the r_k prime-power recursion against the series at p^(2a) n, from
-    r_k(n) and, if p^2 | n, r_k(n / p^2); without_square leaves out the n that p^2 divides.
+def _recursion_against_series(k: int):
+    """The sweep of the r_k prime-power recursion against the series at p^(2a) n,
+    from r_k(n) and, if p^2 | n, r_k(n / p^2).  The grid follows the
+    recursion's hypothesis: r5's holds only where p^2 does not divide n.
     """
 
     def sweep(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
         M = budget.max_argument
-        rk = bank.rk(k, None)
+        rk = bank.rk(k, None).coeffs
         recursion = r3_recursion if k == 3 else r5_recursion
         relation = f"r{k} recursion matches the series"
         for p in _odd_primes(budget.max_prime):
-            psq = p * p
+            without = p * p if k == 5 else 0
             for alpha in range(1, budget.max_alpha + 1):
                 p2a = p ** (2 * alpha)
-                for n in _grid(t, M, p2a, without=psq if without_square else 0, p=p, alpha=alpha):
-                    base = {n: rk.coeffs[n]}
-                    if n % psq == 0:
-                        base[n // psq] = rk.coeffs[n // psq]
-                    got = recursion(p, alpha, n, base)
-                    want = rk.coeffs[p2a * n]
+                for n in _grid(t, M, p2a, without=without, p=p, alpha=alpha):
+                    got = recursion(p, alpha, n, rk)
+                    want = rk[p2a * n]
                     t.expect(
                         got == want,
                         {"p": p, "alpha": alpha, "n": n},
@@ -640,11 +614,11 @@ def _recursion_against_series(k: int, without_square: bool):
 _check(
     "lemma-r3-recursion",
     "the r3 prime-power recursion reproduces the series coefficients at p^(2a) n, all n",
-)(_recursion_against_series(3, without_square=False))
+)(_recursion_against_series(3))
 _check(
     "lemma-r5-recursion",
     "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
-)(_recursion_against_series(5, without_square=True))
+)(_recursion_against_series(5))
 
 
 # ---------------------------------------------------------------------------

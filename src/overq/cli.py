@@ -54,12 +54,16 @@ _SPOT_CHECK_COUNT = 16
 # `verify --all --max-arg 100000` takes about 21 s.  Series products check
 # their decimal slot width against the same limit; at 10^5 the widest slot
 # has 13 digits.
+# mod sets the slot width of a residue product, about twice its digits, and a
+# modulus past about 2,150 digits is refused by the product itself.  At the
+# cap, `expand hs43-rhs --terms 20001` takes 1.5–1.6 s, and 1.5–1.9 s exact.
 SIZE_LIMITS = {
     "max_arg": 100_000,
     "terms": 100_001,
     "n": 100_000,
     "max_prime": 1_000,
     "max_alpha": 20,
+    "mod": 10**18,
 }
 
 

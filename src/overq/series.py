@@ -43,14 +43,6 @@ class RingSpec:
         if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
-    @property
-    def is_modular(self) -> bool:
-        return self.modulus is not None
-
-    @property
-    def kind(self) -> str:
-        return "mod" if self.is_modular else "exact"
-
     def normalize(self, x: int) -> int:
         return x % self.modulus if self.modulus is not None else x
 
@@ -200,16 +192,9 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
-        return f"TruncatedSeries({self.ring.kind}, order={self.order}, [{head}{tail}])"
+        return f"TruncatedSeries({self.ring!r}, order={self.order}, [{head}{tail}])"
 
     # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_ring(other)
-        n = min(self.order, other.order)
-        norm = self.ring.normalize
-        cs = tuple(norm(x + y) for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        return TruncatedSeries(self.ring, n, cs)
 
     def scale(self, c: int) -> "TruncatedSeries":
         norm = self.ring.normalize

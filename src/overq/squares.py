@@ -21,7 +21,7 @@ from enum import Enum
 from functools import lru_cache
 from math import comb, isqrt
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .arith import divisor_sums, divisors, factor, is_prime
 from .series import TruncatedSeries
@@ -172,19 +172,20 @@ def _recursion_constants(k: int, p: int, alpha: int) -> tuple[Mapping[int, int],
     return multiplier, p * g_lo, (p - 1) // 2
 
 
-def _lookup(base: Mapping[int, int], key: int, what: str) -> int:
+def _lookup(base: Mapping[int, int] | Sequence[int], key: int, what: str) -> int:
     try:
         return base[key]
-    except KeyError:
+    except (KeyError, IndexError):
         raise ValueError(f"missing base value {what}({key})") from None
 
 
-def r3_recursion(p: int, alpha: int, n: int, r3_base: Mapping[int, int]) -> int:
+def r3_recursion(p: int, alpha: int, n: int, r3_base: Mapping[int, int] | Sequence[int]) -> int:
     """r_3(p^(2*alpha) * n) from r_3(n) and r_3(n / p^2), for odd prime p.
 
     r_3(p^(2a) n) = (S(a+1) - (-n/p) * S(a)) * r_3(n) - p * S(a) * r_3(n/p^2)
     with S(t) = 1 + p + ... + p^(t-1), and r_3(n/p^2) taken as 0 unless p^2 | n.
     The Legendre symbol is 0 when p | n, which keeps the formula total.
+    r3_base is indexed by n: a mapping, or the coefficients of the r_3 series.
     """
     multiplier, tail, half = _recursion_constants(3, p, alpha)
     if n < 1:
@@ -197,11 +198,11 @@ def r3_recursion(p: int, alpha: int, n: int, r3_base: Mapping[int, int]) -> int:
     return multiplier[pow(-n % p, half, p)] * r3_n - tail * r3_quot
 
 
-def r5_recursion(p: int, alpha: int, n: int, r5_base: Mapping[int, int]) -> int:
+def r5_recursion(p: int, alpha: int, n: int, r5_base: Mapping[int, int] | Sequence[int]) -> int:
     """r_5(p^(2*alpha) * n) from r_5(n), for odd prime p with p^2 not dividing n.
 
     r_5(p^(2a) n) = (T(a+1) - p * (n/p) * T(a)) * r_5(n)
-    with T(t) = 1 + p^3 + ... + p^(3(t-1)).
+    with T(t) = 1 + p^3 + ... + p^(3(t-1)); r5_base is indexed by n, as in r3_recursion.
     """
     multiplier, _, half = _recursion_constants(5, p, alpha)
     if n < 1:

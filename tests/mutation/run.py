@@ -159,6 +159,36 @@ MUTANTS = [
         "first = start",
     ),
     Mutant(
+        "signed-progression-drops-subset",
+        "src/overq/checks.py",
+        "moduli = (m, subset) if subset else (m,)",
+        "moduli = (m,)",
+    ),
+    Mutant(
+        "family-point-drops-its-modulus",
+        "src/overq/checks.py",
+        'named = {"modulus": m} if varies else {}',
+        "named = {}",
+    ),
+    Mutant(
+        "family-direct-half-never-fails",
+        "src/overq/checks.py",
+        "if v := gf.coeffs[step * n] % m:",
+        "if v := 0:",
+    ),
+    Mutant(
+        "fam-5p3-direct-half-always-holds",
+        "src/overq/checks.py",
+        'v == 0,\n                {"p": p, "n": n, "argument": step * n},',
+        'True,\n                {"p": p, "n": n, "argument": step * n},',
+    ),
+    Mutant(
+        "family-series-modulus-smallest",
+        "src/overq/checks.py",
+        "gf_modulus = max(moduli)",
+        "gf_modulus = min(moduli)",
+    ),
+    Mutant(
         "crt-sign",
         "src/overq/checks.py",
         "(r2 - r1)",
@@ -175,6 +205,12 @@ MUTANTS = [
         "src/overq/squares.py",
         "pow(-n % p, half, p)",
         "pow(n % p, half, p)",
+    ),
+    Mutant(
+        "recursion-base-index-error-escapes",
+        "src/overq/squares.py",
+        "except (KeyError, IndexError):",
+        "except KeyError:",
     ),
     Mutant(
         "recursion-constant-drops-top-term",

@@ -382,6 +382,26 @@ def test_counterexamples_are_reproducible_from_the_report(monkeypatch):
             assert ce["expected"]
 
 
+# The poison budget lies below every family's first direct instance, so the
+# direct halves are poisoned here, each at a budget that reaches exactly one:
+# 3 * 5^3 (fam-3p-high, mod 9), 5 * 3^7 (fam-5p-high) and 5 * 19^3 (fam-5p3).
+@pytest.mark.parametrize(
+    "check_id, key, budget, first",
+    [
+        ("fam-3p-high", ("gf", 9, 375), Budget(375, 5, 1),
+         {"p": 5, "alpha": 0, "N": 1, "exponent": 3, "modulus": 9}),
+        ("fam-5p-high", ("gf", 5, 10935), Budget(10935, 3, 1),
+         {"p": 3, "alpha": 0, "N": 1, "exponent": 7}),
+        ("fam-5p3", ("gf", 5, 34295), Budget(34295, 19, 1), {"p": 19, "n": 1, "argument": 34295}),
+    ],
+    ids=["fam-3p-high", "fam-5p-high", "fam-5p3"],
+)
+def test_direct_halves_fail_on_a_poisoned_series(check_id, key, budget, first):
+    (rep,), _ = run_checks([check_id], budget, bank=_poisoned_bank(budget, key))
+    assert rep.status == "fail"
+    assert rep.counterexamples[0]["args"] == first
+
+
 def test_stop_on_first_halts_the_stream():
     from overq.checks import iter_check_reports
 

@@ -168,6 +168,7 @@ class _WorkStarted(Exception):
         (["rk", "--k", "8", "--method", "series", "--n"], "n", "_compute_rk"),
         (["verify", "--all", "--max-prime"], "max_prime", "iter_check_reports"),
         (["verify", "--all", "--max-alpha"], "max_alpha", "iter_check_reports"),
+        (["expand", "hs43-rhs", "--terms", "50", "--mod"], "mod", "build_named_series"),
     ],
 )
 def test_size_flags_are_capped_before_any_work(capsys, monkeypatch, argv, dest, expensive):

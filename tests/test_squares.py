@@ -167,6 +167,20 @@ def test_r3_recursion_missing_base_raises():
         r3_recursion(5, 1, 7, {})
 
 
+def test_recursions_read_a_coefficient_sequence():
+    r3, r5 = rk_series(3, 450).coeffs, rk_series(5, 450).coeffs
+    for p in (3, 5, 7):
+        for n in range(1, 450 // p**2 + 1):
+            assert r3_recursion(p, 1, n, r3) == r3[p * p * n], (p, n)
+            if n % (p * p):
+                assert r5_recursion(p, 1, n, r5) == r5[p * p * n], (p, n)
+    # an index past the sequence is a missing base value, as a missing key is
+    with pytest.raises(ValueError, match=r"missing base value r3\(7\)"):
+        r3_recursion(5, 1, 7, r3[:7])
+    with pytest.raises(ValueError, match=r"missing base value r5\(7\)"):
+        r5_recursion(5, 1, 7, r5[:7])
+
+
 def test_r3_recursion_rejects_bad_p():
     with pytest.raises(ValueError):
         r3_recursion(2, 1, 3, {3: 8})
