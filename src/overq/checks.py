@@ -386,7 +386,8 @@ _check(
 _check(
     "fam-3p-high",
     "pbar(3 p^(6a+5) N) == 0 (mod 3) and pbar(3 p^(18a+17) N) == 0 (mod 9) for p == 1 (mod 3); "
-    "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; driven by the r5 recursion",
+    "pbar(3 p^(4a+3) N) == 0 (mod 9) for p == 2 (mod 3); N coprime to p; "
+    "driven by the r5 recursion",
 )(_prime_power_family(3, 5, {1: [(3, 6, 5), (9, 18, 17)], 2: [(9, 4, 3)]}))
 
 
@@ -617,7 +618,8 @@ _check(
 )(_recursion_against_series(3))
 _check(
     "lemma-r5-recursion",
-    "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, p^2 not dividing n",
+    "the r5 prime-power recursion reproduces the series coefficients at p^(2a) n, "
+    "p^2 not dividing n",
 )(_recursion_against_series(5))
 
 

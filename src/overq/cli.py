@@ -21,15 +21,7 @@ from collections import Counter
 from .checks import REGISTRY, all_check_ids, coverage_manifest, iter_check_reports
 from .reporting import Budget, summary_counts
 from .series import EXACT, mod_ring
-from .squares import (
-    RkMethod,
-    RkRequest,
-    r4_formula,
-    r8_formula,
-    rk_bruteforce,
-    rk_recursion_route,
-    rk_series,
-)
+from .squares import ROUTES, rk_by_route, route_error
 from .theta import SERIES_NAMES, build_named_series
 
 EXIT_OK = 0
@@ -105,51 +97,24 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compute_rk(method: RkMethod, k: int, n: int) -> int:
-    if method is RkMethod.SERIES:
-        return rk_series(k, n).coeffs[n]
-    if method is RkMethod.FORMULA:
-        return r4_formula(n) if k == 4 else r8_formula(n)
-    if method is RkMethod.BRUTE_FORCE:
-        return rk_bruteforce(k, n)
-    if method is RkMethod.RECURSION:
-        return rk_recursion_route(k, n, lambda base: rk_series(k, base).coeffs[base])
-    raise AssertionError(f"unhandled method {method}")
-
-
-def _applicable_methods(k: int, n: int) -> list[RkMethod]:
-    """Every method whose RkRequest validates for r_k(n)."""
-    methods = []
-    for method in RkMethod:
-        try:
-            RkRequest(k, n, method)
-        except ValueError:
-            continue
-        methods.append(method)
-    return methods
-
-
 def _cmd_rk(args: argparse.Namespace) -> int:
-    try:
-        method = RkMethod(args.method)
-        RkRequest(args.k, args.n, method)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    value = _compute_rk(method, args.k, args.n)
+    k, n, route = args.k, args.n, args.method
+    reason = route_error(route, k, n)
+    if reason is not None:
+        return _fail_usage(reason)
+    value = rk_by_route(route, k, n)
+    _emit(str(value))
     if args.cross_check:
-        for other in _applicable_methods(args.k, args.n):
-            if other is method:
+        for other in ROUTES:
+            if other == route or route_error(other, k, n) is not None:
                 continue
-            got = _compute_rk(other, args.k, args.n)
+            got = rk_by_route(other, k, n)
             if got != value:
-                _emit(str(value))
                 print(
-                    f"cross-check failure: r_{args.k}({args.n}) = {value} via {method.value} "
-                    f"but {got} via {other.value}",
+                    f"cross-check failure: r_{k}({n}) = {value} via {route} but {got} via {other}",
                     file=sys.stderr,
                 )
                 return EXIT_COUNTEREXAMPLE
-    _emit(str(value))
     return EXIT_OK
 
 
@@ -202,16 +167,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="print coefficients of a named series as JSON lines")
     p_expand.add_argument("series", choices=SERIES_NAMES)
-    p_expand.add_argument("--terms", type=int, required=True, help="number of coefficients, from q^0")
+    p_expand.add_argument(
+        "--terms", type=int, required=True, help="number of coefficients, from q^0"
+    )
     p_expand.add_argument("--mod", type=int, help="residue coefficients mod m (default: exact)")
     p_expand.set_defaults(handler=_cmd_expand)
 
     p_rk = sub.add_parser("rk", help="print r_k(n) computed by the requested route")
     p_rk.add_argument("--k", type=int, required=True)
     p_rk.add_argument("--n", type=int, required=True)
-    p_rk.add_argument(
-        "--method", required=True, choices=[m.value for m in RkMethod]
-    )
+    p_rk.add_argument("--method", required=True, choices=ROUTES)
     p_rk.add_argument(
         "--cross-check",
         action="store_true",
@@ -222,9 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run congruence checks, one JSON report line each")
     p_verify.add_argument("--all", action="store_true", help="run every registered check")
     p_verify.add_argument("--checks", help="comma-separated check ids")
-    p_verify.add_argument("--max-arg", type=int, default=10_000, help="budget: largest series index")
-    p_verify.add_argument("--max-prime", type=int, default=23, help="budget: largest prime in grids")
-    p_verify.add_argument("--max-alpha", type=int, default=3, help="budget: largest exponent parameter")
+    for flag, default, bound in (
+        ("--max-arg", 10_000, "largest series index"),
+        ("--max-prime", 23, "largest prime in grids"),
+        ("--max-alpha", 3, "largest exponent parameter"),
+    ):
+        p_verify.add_argument(flag, type=int, default=default, help=f"budget: {bound}")
     p_verify.add_argument(
         "--stop-on-first", action="store_true", help="stop after the first failing check"
     )

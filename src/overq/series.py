@@ -274,9 +274,10 @@ class TruncatedSeries:
 
     def alternate_signs(self) -> "TruncatedSeries":
         """Replace q by -q: coefficient k picks up the sign (-1)^k."""
-        norm = self.ring.normalize
-        cs = tuple(c if k % 2 == 0 else norm(-c) for k, c in enumerate(self.coeffs))
-        return TruncatedSeries(self.ring, self.order, cs)
+        m = self.ring.modulus
+        cs = list(self.coeffs)
+        cs[1::2] = [-c % m if m else -c for c in cs[1::2]]
+        return TruncatedSeries(self.ring, self.order, tuple(cs))
 
     def extract_progression(self, m: int, r: int) -> "TruncatedSeries":
         """Coefficients along the arithmetic progression m*j + r.

@@ -10,14 +10,15 @@ falsifiable against the others:
     geometric sums (never by dividing powers), computed once per (p, alpha);
   * a descending-tuple lattice enumerator for oracle duty on small arguments.
 
+ROUTES names them; route_error alone decides whether a route applies to r_k(n),
+and rk_by_route computes r_k(n) by any route it admits.
+
 Conventions: r_k(0) = 1 (the zero tuple); signs and zeros count, so r_1(4) = 2
 and r_2(1) = 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import comb, isqrt
 from types import MappingProxyType
@@ -32,12 +33,8 @@ MAX_K = 8
 # Lattice-enumerator budgets; beyond these the oracle refuses rather than stall.
 BRUTEFORCE_MAX_N = {1: 10_000, 2: 10_000, 3: 10_000, 4: 10_000, 5: 500, 6: 500, 7: 500, 8: 500}
 
-
-class RkMethod(Enum):
-    SERIES = "series"
-    FORMULA = "formula"
-    RECURSION = "recursion"
-    BRUTE_FORCE = "bruteforce"
+# The r_k routes, in the order the CLI offers and cross-checks them.
+ROUTES = ("series", "formula", "recursion", "bruteforce")
 
 
 def _odd_square_factor(n: int) -> tuple[int, int] | None:
@@ -45,33 +42,44 @@ def _odd_square_factor(n: int) -> tuple[int, int] | None:
     return next(((p, e) for p, e in factor(n) if p != 2 and e >= 2), None)
 
 
-@dataclass(frozen=True)
-class RkRequest:
-    """One r_k(n) query; validation is the single place deciding whether a route applies."""
+def route_error(route: str, k: int, n: int) -> str | None:
+    """Why the route cannot compute r_k(n), or None when it can."""
+    if route not in ROUTES:
+        return f"unknown route {route!r}; expected one of {ROUTES}"
+    if not 1 <= k <= MAX_K:
+        return f"k must be in 1..{MAX_K}, got {k}"
+    if n < 0:
+        return f"n must be >= 0, got {n}"
+    if route == "formula" and k not in (4, 8):
+        return "divisor-sum formulas exist for k = 4 and k = 8 only"
+    if route == "recursion" and k not in (3, 5):
+        return "prime-power recursions exist for k = 3 and k = 5 only"
+    if route in ("formula", "recursion") and n < 1:
+        return f"the {route} route needs n >= 1, got {n}"
+    if route == "recursion" and _odd_square_factor(n) is None:
+        return f"the recursion route needs an odd prime square dividing n; none divides {n}"
+    if route == "bruteforce" and n > BRUTEFORCE_MAX_N[k]:
+        return f"n = {n} exceeds the k = {k} enumeration budget {BRUTEFORCE_MAX_N[k]}"
+    return None
 
-    k: int
-    n: int
-    method: RkMethod
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in 1..{MAX_K}, got {self.k}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.method is RkMethod.FORMULA and self.k not in (4, 8):
-            raise ValueError("divisor-sum formulas exist for k = 4 and k = 8 only")
-        if self.method is RkMethod.RECURSION and self.k not in (3, 5):
-            raise ValueError("prime-power recursions exist for k = 3 and k = 5 only")
-        if self.method in (RkMethod.FORMULA, RkMethod.RECURSION) and self.n < 1:
-            raise ValueError(f"the {self.method.value} route needs n >= 1, got {self.n}")
-        if self.method is RkMethod.RECURSION and _odd_square_factor(self.n) is None:
-            raise ValueError(
-                f"the recursion route needs an odd prime square dividing n; none divides {self.n}"
-            )
-        if self.method is RkMethod.BRUTE_FORCE and self.n > BRUTEFORCE_MAX_N[self.k]:
-            raise ValueError(
-                f"n = {self.n} exceeds the k = {self.k} enumeration budget {BRUTEFORCE_MAX_N[self.k]}"
-            )
+def _require(route: str, k: int, n: int) -> None:
+    reason = route_error(route, k, n)
+    if reason is not None:
+        raise ValueError(reason)
+
+
+def rk_by_route(route: str, k: int, n: int) -> int:
+    """r_k(n) by the named route; ValueError with route_error's reason when it does not apply."""
+    # each route is called by its module-level name, so a wrapper installed there sees the call
+    _require(route, k, n)
+    if route == "series":
+        return rk_series(k, n).coeffs[n]
+    if route == "formula":
+        return r4_formula(n) if k == 4 else r8_formula(n)
+    if route == "recursion":
+        return rk_recursion_route(k, n)
+    return rk_bruteforce(k, n)
 
 
 def rk_series(k: int, order: int) -> TruncatedSeries:
@@ -218,9 +226,9 @@ def rk_bruteforce(k: int, n: int) -> int:
     Each multiset of positive values v_1 >= ... >= v_j (j <= k slots, rest
     zeros) contributes (positions for the values) * 2^j sign patterns, so the
     enumeration touches partitions into squares rather than all of Z^k.
-    Refuses what RkRequest rejects, including n beyond the enumeration budget.
+    Refuses what route_error rejects, including n beyond the enumeration budget.
     """
-    RkRequest(k, n, RkMethod.BRUTE_FORCE)
+    _require("bruteforce", k, n)
     return _lattice_count(n, isqrt(n), k, {})
 
 
@@ -230,7 +238,7 @@ def rk_bruteforce_table(k: int, limit: int) -> list[int]:
     A sweep over n meets the same (remainder, largest value, free slots)
     subproblems again and again; sharing the memo counts each of them once.
     """
-    RkRequest(k, limit, RkMethod.BRUTE_FORCE)
+    _require("bruteforce", k, limit)
     memo: dict[tuple[int, int, int], int] = {}
     return [_lattice_count(n, isqrt(n), k, memo) for n in range(limit + 1)]
 
@@ -257,19 +265,17 @@ def _lattice_count(rem: int, vmax: int, slots: int, memo: dict) -> int:
     return total
 
 
-def rk_recursion_route(k: int, n: int, rk_of: Callable[[int], int]) -> int:
+def rk_recursion_route(k: int, n: int) -> int:
     """Evaluate r_k(n) through the prime-power recursion (k = 3 or 5).
 
     Picks the smallest odd prime p whose square divides n, strips p^(2*alpha)
-    maximally, reads the base value from rk_of, and applies the recursion.
-    Raises ValueError when RkRequest rejects the route (no odd prime square
-    divides n, so there is nothing to recurse on).
+    maximally, reads the base value r_k(n0) from the series, and applies the
+    recursion.  Raises ValueError when route_error rejects the route (no odd
+    prime square divides n, so there is nothing to recurse on).
     """
-    RkRequest(k, n, RkMethod.RECURSION)
+    _require("recursion", k, n)
     p, e = _odd_square_factor(n)
     alpha = e // 2
     n0 = n // p ** (2 * alpha)
-    base = {n0: rk_of(n0)}
-    if k == 3:
-        return r3_recursion(p, alpha, n0, base)
-    return r5_recursion(p, alpha, n0, base)
+    recursion = r3_recursion if k == 3 else r5_recursion
+    return recursion(p, alpha, n0, rk_series(k, n0).coeffs)

@@ -38,14 +38,11 @@ def phi(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     return TruncatedSeries.make(ring, cs)
 
 
-def euler_product(
-    order: int, ring: RingSpec = EXACT, *, negated_argument: bool = False
-) -> TruncatedSeries:
-    """Product of (1 - q^k), or (1 + q^k) with negated_argument, for k = 1..order.
+def euler_product(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
+    """(q;q)_inf, the product of (1 - q^k) for k = 1..order.
 
-    (q;q)_inf is the pentagonal series: sign (-1)^k at the exponents
-    k(3k-1)/2 and k(3k+1)/2 for k >= 1, about 1.6 * sqrt(order) nonzero terms.
-    (-q;q)_inf is E(q^2) / E(q), one division by that sparse series.
+    It is the pentagonal series: sign (-1)^k at the exponents k(3k-1)/2 and
+    k(3k+1)/2 for k >= 1, about 1.6 * sqrt(order) nonzero terms.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -57,8 +54,7 @@ def euler_product(
             if g <= order:
                 cs[g] = (-1) ** k
         k += 1
-    e = TruncatedSeries.make(ring, cs)
-    return e.substitute_power(2) / e if negated_argument else e
+    return TruncatedSeries.make(ring, cs)
 
 
 def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
@@ -69,7 +65,8 @@ def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     rather than returning questionable numbers.
     """
     via_theta = phi(order, ring).alternate_signs().inverse()
-    via_products = euler_product(order, ring, negated_argument=True) / euler_product(order, ring)
+    e = euler_product(order, ring)
+    via_products = e.substitute_power(2) / e / e
     if via_theta != via_products:
         raise RouteMismatchError(
             "overpartition series routes disagree (theta inverse vs product quotient)"
@@ -105,7 +102,8 @@ def build_named_series(name: str, order: int, ring: RingSpec = EXACT) -> Truncat
     if name == "euler":
         return euler_product(order, ring)
     if name == "neg-euler":
-        return euler_product(order, ring, negated_argument=True)
+        e = euler_product(order, ring)
+        return e.substitute_power(2) / e
     if name == "overpartition":
         return overpartition_gf(order, ring)
     if name == "hs43-rhs":

@@ -195,10 +195,10 @@ MUTANTS = [
         "(r2 + r1)",
     ),
     Mutant(
-        "alternate-signs-parity",
+        "alternate-signs-negates-even-terms",
         "src/overq/series.py",
-        "k % 2 == 0",
-        "k % 2 == 1",
+        "cs[1::2] = [-c % m if m else -c for c in cs[1::2]]",
+        "cs[0::2] = [-c % m if m else -c for c in cs[0::2]]",
     ),
     Mutant(
         "r3-legendre-sign",
@@ -211,6 +211,18 @@ MUTANTS = [
         "src/overq/squares.py",
         "except (KeyError, IndexError):",
         "except KeyError:",
+    ),
+    Mutant(
+        "formula-route-accepts-k6",
+        "src/overq/squares.py",
+        'route == "formula" and k not in (4, 8)',
+        'route == "formula" and k not in (4, 6, 8)',
+    ),
+    Mutant(
+        "bruteforce-budget-off-by-one",
+        "src/overq/squares.py",
+        "n > BRUTEFORCE_MAX_N[k]",
+        "n >= BRUTEFORCE_MAX_N[k]",
     ),
     Mutant(
         "recursion-constant-drops-top-term",
@@ -277,6 +289,12 @@ MUTANTS = [
         "src/overq/cli.py",
         "return EXIT_BROKEN_PIPE",
         "return EXIT_COUNTEREXAMPLE",
+    ),
+    Mutant(
+        "cross-check-compares-no-route",
+        "src/overq/cli.py",
+        "if other == route or",
+        "if other != route or",
     ),
     Mutant(
         "verify-exit-reads-wrong-count",

@@ -470,9 +470,9 @@ def test_bank_modular_sweep_never_builds_the_exact_overpartition_series():
 def test_bank_raises_when_the_z360_routes_disagree(monkeypatch):
     real = theta.euler_product
 
-    def corrupted(order, ring=EXACT, *, negated_argument=False):
-        e = real(order, ring, negated_argument=negated_argument)
-        return e.scale(7) if negated_argument and ring == mod_ring(360) else e
+    def corrupted(order, ring=EXACT):
+        e = real(order, ring)
+        return e.scale(7) if ring == mod_ring(360) else e  # 7 is a unit mod 360
 
     monkeypatch.setattr(theta, "euler_product", corrupted)
     with pytest.raises(RouteMismatchError):

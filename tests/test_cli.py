@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from overq import cli
-from overq.cli import _applicable_methods, main
+from overq.cli import main
 from overq.series import EXACT, mod_ring
-from overq.squares import RkMethod
+from overq.squares import ROUTES, route_error
 from overq.theta import SERIES_NAMES, build_named_series
 
 from oracles import overpartitions_enumerated
@@ -165,7 +165,7 @@ class _WorkStarted(Exception):
     [
         (["verify", "--all", "--max-arg"], "max_arg", "iter_check_reports"),
         (["expand", "hs43-rhs", "--terms"], "terms", "build_named_series"),
-        (["rk", "--k", "8", "--method", "series", "--n"], "n", "_compute_rk"),
+        (["rk", "--k", "8", "--method", "series", "--n"], "n", "rk_by_route"),
         (["verify", "--all", "--max-prime"], "max_prime", "iter_check_reports"),
         (["verify", "--all", "--max-alpha"], "max_alpha", "iter_check_reports"),
         (["expand", "hs43-rhs", "--terms", "50", "--mod"], "mod", "build_named_series"),
@@ -196,15 +196,12 @@ def test_rk_route_requirements_are_stated(capsys):
 def test_applicable_methods_are_exactly_the_routes_that_succeed(capsys):
     for k in range(1, 9):
         for n in range(61):
-            succeeded = set()
-            for method in RkMethod:
+            for route in ROUTES:
                 code, out, _ = run_cli(
-                    capsys, "rk", "--k", str(k), "--n", str(n), "--method", method.value, "--cross-check"
+                    capsys, "rk", "--k", str(k), "--n", str(n), "--method", route, "--cross-check"
                 )
-                assert code in (0, 2), (k, n, method)
-                if code == 0:
-                    succeeded.add(method)
-            assert set(_applicable_methods(k, n)) == succeeded, (k, n)
+                assert code in (0, 2), (k, n, route)
+                assert (route_error(route, k, n) is None) == (code == 0), (k, n, route)
 
 
 # -- verify ------------------------------------------------------------------------
@@ -278,9 +275,9 @@ def test_list_checks(capsys):
 
 
 def test_rk_cross_check_exit_code_1_on_disagreement(capsys, monkeypatch):
-    import overq.cli as cli
+    import overq.squares as squares
 
-    monkeypatch.setattr(cli, "rk_bruteforce", lambda k, n: 999)
+    monkeypatch.setattr(squares, "rk_bruteforce", lambda k, n: 999)
     code, out, err = run_cli(capsys, "rk", "--k", "4", "--n", "2", "--method", "formula", "--cross-check")
     assert code == 1
     assert json.loads(out.splitlines()[0]) == "24"  # the primary route's value is still printed

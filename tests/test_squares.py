@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from overq.squares import (
     BRUTEFORCE_MAX_N,
-    RkMethod,
-    RkRequest,
+    ROUTES,
     r3_recursion,
     r4_formula,
     r4_table,
@@ -16,33 +15,59 @@ from overq.squares import (
     r8_table,
     rk_bruteforce,
     rk_bruteforce_table,
+    rk_by_route,
     rk_recursion_route,
     rk_series,
+    route_error,
 )
 
 from oracles import r3_recursion_per_call, r5_recursion_per_call, rk_lattice_naive
 
 
-# -- request validation --------------------------------------------------------
+# -- route table ---------------------------------------------------------------
 
 
-def test_rk_request_validation():
-    RkRequest(4, 10, RkMethod.FORMULA)
-    RkRequest(3, 45, RkMethod.RECURSION)
-    with pytest.raises(ValueError):
-        RkRequest(3, 10, RkMethod.RECURSION)  # no odd prime square divides 10
-    with pytest.raises(ValueError):
-        RkRequest(4, 0, RkMethod.FORMULA)
-    with pytest.raises(ValueError):
-        RkRequest(8, BRUTEFORCE_MAX_N[8] + 1, RkMethod.BRUTE_FORCE)
-    with pytest.raises(ValueError):
-        RkRequest(3, 10, RkMethod.FORMULA)
-    with pytest.raises(ValueError):
-        RkRequest(4, 10, RkMethod.RECURSION)
-    with pytest.raises(ValueError):
-        RkRequest(9, 10, RkMethod.SERIES)
-    with pytest.raises(ValueError):
-        RkRequest(4, -1, RkMethod.SERIES)
+def test_route_error_validation():
+    assert route_error("formula", 4, 10) is None
+    assert route_error("recursion", 3, 45) is None
+    assert rk_by_route("formula", 4, 10) == 144
+    assert rk_by_route("recursion", 3, 45) == rk_series(3, 45).coeffs[45]
+    rejected = [
+        ("recursion", 3, 10),  # no odd prime square divides 10
+        ("formula", 4, 0),
+        ("bruteforce", 8, BRUTEFORCE_MAX_N[8] + 1),
+        ("formula", 3, 10),
+        ("recursion", 4, 10),
+        ("series", 9, 10),
+        ("series", 4, -1),
+    ]
+    for route, k, n in rejected:
+        reason = route_error(route, k, n)
+        assert reason, (route, k, n)
+        with pytest.raises(ValueError) as exc:
+            rk_by_route(route, k, n)
+        assert str(exc.value) == reason
+    with pytest.raises(ValueError) as exc:
+        rk_by_route("bogus", 4, 1)
+    assert all(route in str(exc.value) for route in ROUTES)
+
+
+def test_route_error_messages_and_budget_bounds():
+    assert route_error("series", 0, 1) == "k must be in 1..8, got 0"
+    assert route_error("series", 1, -1) == "n must be >= 0, got -1"
+    assert route_error("formula", 5, 1) == "divisor-sum formulas exist for k = 4 and k = 8 only"
+    assert route_error("recursion", 4, 9) == "prime-power recursions exist for k = 3 and k = 5 only"
+    assert route_error("formula", 8, 0) == "the formula route needs n >= 1, got 0"
+    assert route_error("recursion", 5, 0) == "the recursion route needs n >= 1, got 0"
+    assert route_error("recursion", 3, 4) == (
+        "the recursion route needs an odd prime square dividing n; none divides 4"
+    )
+    assert route_error("bruteforce", 5, 501) == "n = 501 exceeds the k = 5 enumeration budget 500"
+    assert route_error("bruteforce", 5, 500) is None
+    assert route_error("bruteforce", 4, 10_000) is None
+    assert route_error("bruteforce", 4, 10_001) == (
+        "n = 10001 exceeds the k = 4 enumeration budget 10000"
+    )
 
 
 # -- series route ----------------------------------------------------------------
@@ -332,21 +357,21 @@ def test_r5_recursion_consistency_grid():
 def test_recursion_route_decomposes_and_matches_series():
     r3_600 = rk_series(3, 600)
     for n in (9, 18, 25, 45, 50, 75, 99, 100, 147, 242, 225, 600):
-        got = rk_recursion_route(3, n, lambda b: rk_series(3, b).coeffs[b])
+        got = rk_recursion_route(3, n)
         assert got == r3_600.coeffs[n], n
 
 
 def test_recursion_route_r5():
     r5_200 = rk_series(5, 200)
     for n in (9, 18, 45, 50, 98, 153, 200):
-        got = rk_recursion_route(5, n, lambda b: rk_series(5, b).coeffs[b])
+        got = rk_recursion_route(5, n)
         assert got == r5_200.coeffs[n], n
 
 
 def test_recursion_route_rejects_squarefree_odd_part():
     with pytest.raises(ValueError):
-        rk_recursion_route(3, 30, lambda b: 0)  # 2*3*5, no odd square divisor
+        rk_recursion_route(3, 30)  # 2*3*5, no odd square divisor
     with pytest.raises(ValueError):
-        rk_recursion_route(3, 4, lambda b: 0)  # only 2^2; the recursion needs odd p
+        rk_recursion_route(3, 4)  # only 2^2; the recursion needs odd p
     with pytest.raises(ValueError):
-        rk_recursion_route(4, 9, lambda b: 0)
+        rk_recursion_route(4, 9)

@@ -45,11 +45,11 @@ def test_euler_product_by_hand():
 
 def test_euler_product_order_zero_is_empty_product():
     assert euler_product(0).coeffs == (1,)
-    assert euler_product(0, negated_argument=True).coeffs == (1,)
+    assert build_named_series("neg-euler", 0).coeffs == (1,)
 
 
 def test_negated_euler_counts_distinct_partitions():
-    s = euler_product(12, negated_argument=True)
+    s = build_named_series("neg-euler", 12)
     assert s.coeffs[6] == 4  # {6}, {5,1}, {4,2}, {3,2,1}
     for n in range(13):
         assert s.coeffs[n] == distinct_partitions_enumerated(n)
@@ -75,18 +75,18 @@ def test_euler_product_has_pentagonal_support():
 def test_euler_product_matches_binomial_assembly():
     rings = (EXACT, *(mod_ring(m) for m in (5, 8, 9, 40)))
     for order in range(201):
-        for negated in (False, True):
+        for negated, name in ((False, "euler"), (True, "neg-euler")):
             want = euler_product_binomial(order, negated)
             for ring in rings:
-                got = euler_product(order, ring, negated_argument=negated)
+                got = build_named_series(name, order, ring)
                 assert got == TruncatedSeries.make(ring, want), (order, negated, ring)
 
 
 def test_euler_product_modular_matches_exact_reduction():
     for m in (5, 8, 40):
-        for negated in (False, True):
-            exact = euler_product(80, negated_argument=negated).reduce_mod(m)
-            modular = euler_product(80, mod_ring(m), negated_argument=negated)
+        for name in ("euler", "neg-euler"):
+            exact = build_named_series(name, 80).reduce_mod(m)
+            modular = build_named_series(name, 80, mod_ring(m))
             assert exact == modular
 
 
@@ -127,7 +127,7 @@ def test_times_negated_theta_is_one():
 
 def test_times_euler_product_gives_negated_euler_product():
     gf = overpartition_gf(256)
-    assert gf * euler_product(256) == euler_product(256, negated_argument=True)
+    assert gf * euler_product(256) == build_named_series("neg-euler", 256)
 
 
 def test_route_mismatch_aborts_the_construction(monkeypatch):
@@ -136,13 +136,10 @@ def test_route_mismatch_aborts_the_construction(monkeypatch):
 
     real = theta.euler_product
 
-    def corrupted(order, ring=EXACT, *, negated_argument=False):
-        s = real(order, ring, negated_argument=negated_argument)
-        if negated_argument:
-            bumped = list(s.coeffs)
-            bumped[-1] += 1
-            s = TruncatedSeries.make(ring, bumped)
-        return s
+    def corrupted(order, ring=EXACT):
+        bumped = list(real(order, ring).coeffs)
+        bumped[-1] += 1
+        return TruncatedSeries.make(ring, bumped)
 
     monkeypatch.setattr(theta, "euler_product", corrupted)
     with pytest.raises(RouteMismatchError):
