@@ -6,11 +6,11 @@ status follows from what was tested: fail iff counterexamples were found,
 skipped iff the budget left nothing to test.  Progression grids come from
 _grid, the one place that decides what lies beyond the budget: it records a
 grid point with no instance within it in skipped_points at its minimal
-argument.  Three sweep shapes each serve two checks, take only the numbers of
-their statements and derive the rest: _signed_progression (thm-main,
-thm-mod9), _prime_power_family (fam-5p-high, fam-3p-high) and
-_recursion_against_series (the two recursion lemmas).  The other checkers
-keep their own loops.
+argument.  It decides the 40n+35 grids of conj-40 and cor-5-4alpha too.
+Three sweep shapes each serve two checks, take only the numbers of their
+statements and derive the rest: _signed_progression (thm-main, thm-mod9),
+_prime_power_family (fam-5p-high, fam-3p-high) and _recursion_against_series
+(the two recursion lemmas).  The other checkers keep their own loops.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .arith import is_square, is_twice_square, primes_up_to
 from .reporting import STATUS_FAIL, Budget, CheckReport, summary_counts
-from .series import TruncatedSeries, mod_ring
+from .series import RingSpec, TruncatedSeries, mod_ring
 from .squares import (
     r3_recursion,
     r4_formula,
@@ -32,7 +32,7 @@ from .squares import (
     rk_bruteforce_table,
     rk_series,
 )
-from .theta import euler_product, overpartition_gf, p4n3_product_form, phi
+from .theta import euler_product, overpartition_by_theta, overpartition_gf, p4n3_product_form, phi
 
 
 class SeriesBank:
@@ -42,9 +42,9 @@ class SeriesBank:
     shared by every later one.  Overpartition series are residue-first: both
     routes of overpartition_gf are compared over Z/360 = lcm(5, 8, 9), and the
     series mod 5, 8 and 9 are reductions of that one.  The series mod 40 and
-    the exact series are theta-route builds of their own (see overpartition);
-    id-4n3 checks the exact one against the independent product form.  An r_k
-    series mod m is reduce_mod(m) of the exact one.
+    the exact series are builds of their own by overpartition_by_theta (see
+    overpartition); id-4n3 checks the exact one against the independent
+    product form.  An r_k series mod m is reduce_mod(m) of the exact one.
     """
 
     def __init__(self, budget: Budget) -> None:
@@ -62,13 +62,11 @@ class SeriesBank:
     def overpartition(self, modulus: int | None = None) -> TruncatedSeries:
         order = self.budget.max_argument
         dual = lambda: overpartition_gf(order, mod_ring(360))
-        if modulus is None:
-            build = lambda: phi(order).alternate_signs().inverse()
-        elif modulus == 40:
-            # conj-40 compares this series with the CRT of the mod-8 and mod-5
-            # series.  Were it a reduction of the same source, that comparison
-            # would be a tautology, so it is built on its own over Z/40.
-            build = lambda: phi(order, mod_ring(40)).alternate_signs().inverse()
+        if modulus in (None, 40):
+            # conj-40 compares the series mod 40 with the series mod 8 and 5.
+            # Were it a reduction of the same source, that comparison would be
+            # a tautology, so it is built on its own over Z/40.
+            build = lambda: overpartition_by_theta(order, RingSpec(modulus))
         elif modulus == 360:
             build = dual
         else:
@@ -116,12 +114,6 @@ def _check(check_id: str, statement: str, skip_reason: str | None = None):
     return register
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    inv = pow(m1, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
-
-
 def _odd_primes(limit: int) -> list[int]:
     return [p for p in primes_up_to(limit) if p >= 3]
 
@@ -145,14 +137,14 @@ def _grid(
 
 
 def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
-    """All (alpha, n, 4^alpha * (40n + 35)) with the argument within budget."""
-    out = []
-    alpha = 0
-    while 4**alpha * 35 <= max_argument:
-        for n in range((max_argument // 4**alpha - 35) // 40 + 1):
-            out.append((alpha, n, 4**alpha * (40 * n + 35)))
-        alpha += 1
-    return out
+    """All (alpha, n, 4^alpha * (40n + 35)) with the argument within budget,
+    alpha first; every alpha with 4^alpha <= max_argument is below its bit length.
+    """
+    return [
+        (alpha, n, 4**alpha * (40 * n + 35))
+        for alpha in range(max_argument.bit_length())
+        for n in _grid(None, max_argument, 40 * 4**alpha, 35 * 4**alpha, start=0)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +206,9 @@ def _check_conj40(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
         gf8 = bank.overpartition(8)
         gf5 = bank.overpartition(5)
         for alpha, n, arg in instances:
-            v40 = gf40.coeffs[arg]
-            v8 = gf8.coeffs[arg]
-            v5 = gf5.coeffs[arg]
-            consistent = v40 % 8 == v8 and v40 % 5 == v5 and _crt(v8, 8, v5, 5) == v40
+            v40, v8, v5 = gf40.coeffs[arg], gf8.coeffs[arg], gf5.coeffs[arg]
+            # residues mod 40 lie in [0, 40), so both reductions agreeing makes v40 their CRT
+            consistent = v40 % 8 == v8 and v40 % 5 == v5
             t.expect(
                 v40 == 0 and consistent,
                 {"alpha": alpha, "n": n, "argument": arg},
@@ -409,7 +400,7 @@ def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: CheckReport) -> Swe
     signed = gf5.extract_progression(5, 0).alternate_signs().coeffs
     for alpha in range(budget.max_alpha + 1):
         step = 5 * 4 ** (alpha + 1)
-        for n in range(M // step + 1):
+        for n in _grid(None, M, step, start=0):
             left = gf5.coeffs[step * n]
             right = signed[n]
             t.expect(
@@ -469,24 +460,19 @@ def _check_final_step(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep
     M = budget.max_argument
     if M < 5:
         return {"max_argument": M}, (0, 0)
-    lhs5 = bank.overpartition(5).extract_progression(5, 0).alternate_signs()
-    t.series(
-        lhs5,
-        bank.rk(3, 5),
-        "sum pbar(5n)(-q)^n == phi^3 (mod 5)",
-        ("signed_pbar_5n", "r3"),
-        lambda k: {"modulus": 5, "coefficient": k},
-    )
-    lhs9 = bank.overpartition(9).extract_progression(3, 0).alternate_signs()
-    t.series(
-        lhs9,
-        bank.rk(5, 9),
-        "sum pbar(3n)(-q)^n == phi^5 (mod 9)",
-        ("signed_pbar_3n", "r5"),
-        lambda k: {"modulus": 9, "coefficient": k},
-    )
-    parameters = {"max_argument": M, "terms_mod_5": lhs5.order + 1, "terms_mod_9": lhs9.order + 1}
-    return parameters, (0, max(lhs5.order, lhs9.order))
+    parameters, through = {"max_argument": M}, 0
+    for q, k, m in ((5, 3, 5), (3, 5, 9)):
+        lhs = bank.overpartition(m).extract_progression(q, 0).alternate_signs()
+        t.series(
+            lhs,
+            bank.rk(k, m),
+            f"sum pbar({q}n)(-q)^n == phi^{k} (mod {m})",
+            (f"signed_pbar_{q}n", f"r{k}"),
+            lambda j: {"modulus": m, "coefficient": j},
+        )
+        parameters[f"terms_mod_{m}"] = lhs.order + 1
+        through = max(through, lhs.order)
+    return parameters, (0, through)
 
 
 @_check(
@@ -662,11 +648,7 @@ def iter_check_reports(
 
 
 def run_checks(
-    check_ids,
-    budget: Budget,
-    *,
-    stop_on_first: bool = False,
-    bank: SeriesBank | None = None,
+    check_ids, budget: Budget, *, bank: SeriesBank | None = None
 ) -> tuple[list[CheckReport], dict]:
-    reports = list(iter_check_reports(check_ids, budget, stop_on_first=stop_on_first, bank=bank))
+    reports = list(iter_check_reports(check_ids, budget, bank=bank))
     return reports, summary_counts(reports)

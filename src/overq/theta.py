@@ -57,6 +57,11 @@ def euler_product(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     return TruncatedSeries.make(ring, cs)
 
 
+def overpartition_by_theta(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
+    """The overpartition series by the theta route alone: 1/phi(-q)."""
+    return phi(order, ring).alternate_signs().inverse()
+
+
 def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     """Generating function of overpartition counts, coefficient n = pbar(n).
 
@@ -64,7 +69,7 @@ def overpartition_gf(order: int, ring: RingSpec = EXACT) -> TruncatedSeries:
     which must agree coefficient for coefficient; a mismatch aborts the run
     rather than returning questionable numbers.
     """
-    via_theta = phi(order, ring).alternate_signs().inverse()
+    via_theta = overpartition_by_theta(order, ring)
     e = euler_product(order, ring)
     via_products = e.substitute_power(2) / e / e
     if via_theta != via_products:

@@ -113,8 +113,8 @@ MUTANTS = [
     Mutant(
         "bank-mod-40-by-reduction",
         "src/overq/checks.py",
-        "build = lambda: phi(order, mod_ring(40)).alternate_signs().inverse()",
-        'build = lambda: self._get(("gf", 360, order), dual).reduce_mod(40)',
+        "if modulus in (None, 40):",
+        "if modulus is None:",
     ),
     Mutant(
         "bank-reduces-by-wrong-modulus",
@@ -123,10 +123,10 @@ MUTANTS = [
         '("gf", 360, order), dual).reduce_mod(2 * modulus)',
     ),
     Mutant(
-        "bank-exact-series-drops-sign-change",
-        "src/overq/checks.py",
-        "build = lambda: phi(order).alternate_signs().inverse()",
-        "build = lambda: phi(order).inverse()",
+        "theta-route-drops-sign-change",
+        "src/overq/theta.py",
+        "return phi(order, ring).alternate_signs().inverse()",
+        "return phi(order, ring).inverse()",
     ),
     Mutant(
         "modular-division-negates-inverse",
@@ -189,10 +189,28 @@ MUTANTS = [
         "gf_modulus = min(moduli)",
     ),
     Mutant(
-        "crt-sign",
+        "conj-40-drops-mod-8-reduction",
         "src/overq/checks.py",
-        "(r2 - r1)",
-        "(r2 + r1)",
+        "consistent = v40 % 8 == v8 and v40 % 5 == v5",
+        "consistent = v40 % 5 == v5",
+    ),
+    Mutant(
+        "conj-40-drops-mod-5-reduction",
+        "src/overq/checks.py",
+        "consistent = v40 % 8 == v8 and v40 % 5 == v5",
+        "consistent = v40 % 8 == v8",
+    ),
+    Mutant(
+        "conj-40-grid-starts-at-1",
+        "src/overq/checks.py",
+        "35 * 4**alpha, start=0)",
+        "35 * 4**alpha, start=1)",
+    ),
+    Mutant(
+        "final-step-point-names-q-for-its-modulus",
+        "src/overq/checks.py",
+        'lambda j: {"modulus": m, "coefficient": j}',
+        'lambda j: {"modulus": q, "coefficient": j}',
     ),
     Mutant(
         "alternate-signs-negates-even-terms",

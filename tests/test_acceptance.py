@@ -166,8 +166,8 @@ def test_criterion_6_conjecture_40(bank):
     assert rep.counterexamples == []
     assert rep.parameters["instances"] > 250
     assert rep.parameters["alpha_max"] == 4
-    # CRT recombination is asserted per instance inside the checker; spot-check
-    # the raw residues here as well
+    # the checker compares the mod-40 residue's reductions with the mod-8 and
+    # mod-5 residues per instance; spot-check the raw residues here as well
     gf40 = bank.overpartition(40)
     gf8 = bank.overpartition(8)
     gf5 = bank.overpartition(5)

@@ -126,12 +126,26 @@ def test_conj40_crt_consistency(bank):
     assert rep.parameters["alpha_max"] == 2  # 16 * 35 = 560 <= 700 < 4^3 * 35
 
 
-def test_crt_recombines_every_residue_pair():
-    # conj-40 only ever recombines (0, 0), so the other 39 pairs are pinned here
-    for r1 in range(8):
-        for r2 in range(5):
-            x = checks._crt(r1, 8, r2, 5)
-            assert 0 <= x < 40 and (x % 8, x % 5) == (r1, r2), (r1, r2)
+def _instances_40n35_naive(limit):
+    """(alpha, n, argument) for every argument 4^alpha (40n+35) <= limit, found by
+    dividing out 4 from each integer, alpha first."""
+    out = []
+    for arg in range(1, limit + 1):
+        alpha, odd = 0, arg
+        while odd % 4 == 0:
+            alpha, odd = alpha + 1, odd // 4
+        if odd % 40 == 35:
+            out.append((alpha, (odd - 35) // 40, arg))
+    return sorted(out)
+
+
+def test_qualifying_40n35_against_brute_force():
+    # 35 * 4^alpha is the first instance of each alpha: those budgets hold an
+    # instance exactly at the budget, and one below each loses it
+    edges = (35, 140, 560, 2240, 8960, 35840)
+    every = _instances_40n35_naive(edges[-1])
+    for M in [*range(700), *edges, *(e - 1 for e in edges)]:
+        assert checks._qualifying_40n35(M) == [x for x in every if x[2] <= M], M
 
 
 def test_mod8_criterion_and_exemptions(bank):
@@ -402,6 +416,31 @@ def test_direct_halves_fail_on_a_poisoned_series(check_id, key, budget, first):
     assert rep.counterexamples[0]["args"] == first
 
 
+# v40 is 0 at every instance, so a poisoned mod-8 or mod-5 series fails conj-40
+# only through the reduction that reads it.
+@pytest.mark.parametrize("modulus", [8, 5], ids=["mod-8", "mod-5"])
+def test_conj40_fails_through_each_reduction_alone(modulus):
+    bank = _poisoned_bank(POISON_BUDGET, ("gf", modulus, 300))
+    (rep,), _ = run_checks(["conj-40"], POISON_BUDGET, bank=bank)
+    assert rep.status == "fail"
+    assert len(rep.counterexamples) == rep.parameters["instances"] == 9
+    first = rep.counterexamples[0]
+    assert first["args"] == {"alpha": 0, "n": 0, "argument": 35}
+    assert first["observed"] == {"mod_40": "0", "mod_8": "0", "mod_5": "0", f"mod_{modulus}": "1"}
+
+
+def test_final_step_fails_through_its_mod_9_row():
+    # the pinned poisoned digest covers the mod-5 row; this poisons the other one
+    bank = _poisoned_bank(POISON_BUDGET, ("rk", 5, 9, 300))
+    (rep,), _ = run_checks(["final-step"], POISON_BUDGET, bank=bank)
+    assert rep.status == "fail"
+    assert rep.counterexamples[0] == {
+        "args": {"modulus": 9, "coefficient": 2},
+        "observed": {"signed_pbar_3n": "4", "r5": "1"},  # pbar(6) = 40 == 4 (mod 9)
+        "expected": "sum pbar(3n)(-q)^n == phi^5 (mod 9)",
+    }
+
+
 def test_stop_on_first_halts_the_stream():
     from overq.checks import iter_check_reports
 
@@ -453,7 +492,7 @@ def test_bank_mod_40_series_does_not_read_the_mod_360_one():
     bank = _poisoned_bank(POISON_BUDGET, ("gf", 360, 300))
     assert bank.overpartition(40) == overpartition_gf(300, mod_ring(40))
     assert bank.overpartition(5) != overpartition_gf(300, mod_ring(5))  # a reduction does
-    # so a corrupt Z/360 series shows in conj-40 as a broken CRT cross-check
+    # so a corrupt Z/360 series shows in conj-40 as a broken cross-check of its reductions
     (rep,), _ = run_checks(["conj-40"], POISON_BUDGET, bank=bank)
     assert rep.status == "fail"
 
