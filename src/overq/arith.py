@@ -1,8 +1,8 @@
 """Exact integer utilities: factorization, divisors, square tests.
 
 Everything here is deterministic trial-division arithmetic sized for desk-scale
-arguments (up to ~1e8), plus one sieve that tabulates divisor sums for every
-n up to a limit at once.  No probabilistic primality, no floating point.
+arguments (up to ~1e8), in one place: is_prime is factor's answer.  One sieve
+tabulates divisor sums for every n up to a limit at once.  No floating point.
 """
 
 from __future__ import annotations
@@ -31,20 +31,8 @@ _SMALL_PRIMES: tuple[int, ...] = tuple(primes_up_to(_SMALL_PRIME_LIMIT))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return n == p
-    f = _SMALL_PRIME_LIMIT + 1  # odd, since the limit is even-adjacent; 1001 is fine
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality: n is prime iff factor(n) is n itself."""
+    return n >= 2 and factor(n) == ((n, 1),)
 
 
 def factor(n: int) -> tuple[tuple[int, int], ...]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .arith import is_square, is_twice_square, primes_up_to
 from .reporting import STATUS_FAIL, Budget, CheckReport, summary_counts
-from .series import RingSpec, TruncatedSeries, mod_ring
+from .series import EXACT, RingSpec, TruncatedSeries, mod_ring
 from .squares import (
     r3_recursion,
     r4_formula,
@@ -492,16 +492,13 @@ def _check_rk_routes(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     brute_grid = ((3, min(M, 300)), (4, min(M, 300)), (5, min(M, 100)), (8, min(M, 100)))
     for k, lim in brute_grid:
         series = bank.rk(k, None) if k in (3, 5) else bank.rk(k, None, order=lim_formula)
-        counts = rk_bruteforce_table(k, lim)
-        for n in range(0, lim + 1):
-            b = counts[n]
-            s = series.coeffs[n]
-            t.expect(
-                b == s,
-                {"k": k, "n": n},
-                {"bruteforce": b, "series": s},
-                "lattice enumeration agrees with the series",
-            )
+        t.series(
+            TruncatedSeries.make(EXACT, rk_bruteforce_table(k, lim)),
+            series,
+            "lattice enumeration agrees with the series",
+            ("bruteforce", "series"),
+            lambda n: {"k": k, "n": n},
+        )
     parameters = {
         "formula_limit": lim_formula,
         "brute_limit_k34": min(M, 300),

@@ -207,6 +207,42 @@ MUTANTS = [
         "35 * 4**alpha, start=1)",
     ),
     Mutant(
+        "fam-5p3-relation-drops-modulus",
+        "src/overq/checks.py",
+        '"pbar(5 p^3 n) == 0 (mod 5)",',
+        '"pbar(5 p^3 n) == 0",',
+    ),
+    Mutant(
+        "fam-5p3-observed-key-drops-modulus",
+        "src/overq/checks.py",
+        '{"pbar_mod_5": v},\n                "pbar(5 p^3 n)',
+        '{"pbar": v},\n                "pbar(5 p^3 n)',
+    ),
+    Mutant(
+        "rk-route-lattice-point-drops-k",
+        "src/overq/checks.py",
+        'lambda n: {"k": k, "n": n},',
+        'lambda n: {"n": n},',
+    ),
+    Mutant(
+        "rk-route-r8-relation-text",
+        "src/overq/checks.py",
+        '"r8 routes agree"',
+        '"r8 route agrees"',
+    ),
+    Mutant(
+        "r48-r8-observed-drops-r8-n",
+        "src/overq/checks.py",
+        '{"r8_pn": r8_pn, "r8_n": r8_n},',
+        '{"r8_pn": r8_pn},',
+    ),
+    Mutant(
+        "r3-four-observed-drops-r3-n",
+        "src/overq/checks.py",
+        '{"r3_4an": r3x.coeffs[base * n], "r3_n": r3x.coeffs[n]},',
+        '{"r3_4an": r3x.coeffs[base * n]},',
+    ),
+    Mutant(
         "final-step-point-names-q-for-its-modulus",
         "src/overq/checks.py",
         'lambda j: {"modulus": m, "coefficient": j}',
@@ -247,6 +283,18 @@ MUTANTS = [
         "src/overq/squares.py",
         "g_hi = g_lo * x + 1",
         "g_hi = g_lo",
+    ),
+    Mutant(
+        "trial-division-steps-by-4-past-the-wheel",
+        "src/overq/arith.py",
+        "f += 2",
+        "f += 4",
+    ),
+    Mutant(
+        "is-prime-takes-a-prime-power",
+        "src/overq/arith.py",
+        "factor(n) == ((n, 1),)",
+        "len(factor(n)) == 1",
     ),
     Mutant(
         "sieve-starts-at-2d",

@@ -127,3 +127,12 @@ def test_is_prime_beyond_small_prime_wheel():
     assert is_prime(1_000_003)
     assert not is_prime(1_000_001)  # 101 * 9901
     assert not is_prime(1_018_081)  # 1009^2, just past the wheel
+    assert not is_prime(1019**2)
+
+
+# Past the wheel trial division steps over the odd numbers from 1001.  A step
+# of 4 still visits 1009 and 1013 (1001 + 8, 1001 + 12) but skips 1019.
+def test_factor_beyond_small_prime_wheel():
+    assert factor(1019**2) == ((1019, 2),)
+    assert factor(1013 * 1019) == ((1013, 1), (1019, 1))
+    assert factor(2 * 1019**2) == ((2, 1), (1019, 2))

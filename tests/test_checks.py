@@ -402,18 +402,80 @@ def test_counterexamples_are_reproducible_from_the_report(monkeypatch):
 @pytest.mark.parametrize(
     "check_id, key, budget, first",
     [
-        ("fam-3p-high", ("gf", 9, 375), Budget(375, 5, 1),
-         {"p": 5, "alpha": 0, "N": 1, "exponent": 3, "modulus": 9}),
-        ("fam-5p-high", ("gf", 5, 10935), Budget(10935, 3, 1),
-         {"p": 3, "alpha": 0, "N": 1, "exponent": 7}),
-        ("fam-5p3", ("gf", 5, 34295), Budget(34295, 19, 1), {"p": 19, "n": 1, "argument": 34295}),
+        ("fam-3p-high", ("gf", 9, 375), Budget(375, 5, 1), {
+            "args": {"p": 5, "alpha": 0, "N": 1, "exponent": 3, "modulus": 9},
+            "observed": {"pbar_residue": "1"},
+            "expected": "pbar(3 p^e N) == 0 (mod m)",
+        }),
+        ("fam-5p-high", ("gf", 5, 10935), Budget(10935, 3, 1), {
+            "args": {"p": 3, "alpha": 0, "N": 1, "exponent": 7},
+            "observed": {"pbar_mod_5": "1"},
+            "expected": "pbar(5 p^e N) == 0 (mod 5)",
+        }),
+        ("fam-5p3", ("gf", 5, 34295), Budget(34295, 19, 1), {
+            "args": {"p": 19, "n": 1, "argument": 34295},
+            "observed": {"pbar_mod_5": "1"},
+            "expected": "pbar(5 p^3 n) == 0 (mod 5)",
+        }),
     ],
     ids=["fam-3p-high", "fam-5p-high", "fam-5p3"],
 )
 def test_direct_halves_fail_on_a_poisoned_series(check_id, key, budget, first):
     (rep,), _ = run_checks([check_id], budget, bank=_poisoned_bank(budget, key))
     assert rep.status == "fail"
-    assert rep.counterexamples[0]["args"] == first
+    assert rep.counterexamples[0] == first
+
+
+def _ones(key):
+    return lambda monkeypatch: _poisoned_bank(POISON_BUDGET, key)
+
+
+def _r3_with_coefficient_4_raised(monkeypatch):
+    # r3(4) = 6 becomes 7: r3(4n) == r3(n) fails at n = 1, and r3 still vanishes on 4^a(8n+7)
+    bank = SeriesBank(POISON_BUDGET)
+    cs = list(bank.rk(3, None).coeffs)
+    cs[4] += 1
+    bank._cache[("rk", 3, None, 300)] = TruncatedSeries.make(EXACT, cs)
+    return bank
+
+
+def _r8_table_of_identity(monkeypatch):
+    monkeypatch.setattr(checks, "r8_table", lambda limit: list(range(limit + 1)))
+    return SeriesBank(POISON_BUDGET)
+
+
+# _POISONED_DIGESTS pins the first half of each check to fail; each case here
+# poisons a later half alone and pins the first counterexample it records.
+@pytest.mark.parametrize(
+    "check_id, poisoned_bank, first",
+    [
+        ("rk-route-agreement", _ones(("rk", 3, None, 300)), {
+            "args": {"k": 3, "n": 1},
+            "observed": {"bruteforce": "6", "series": "1"},
+            "expected": "lattice enumeration agrees with the series",
+        }),
+        ("rk-route-agreement", _ones(("rk", 8, None, 300)), {
+            "args": {"k": 8, "n": 1},
+            "observed": {"formula": "16", "series": "1"},
+            "expected": "r8 routes agree",
+        }),
+        ("lemma-r3-four", _r3_with_coefficient_4_raised, {
+            "args": {"alpha": 1, "n": 1},
+            "observed": {"r3_4an": "7", "r3_n": "6"},
+            "expected": "r3(4^a n) == r3(n)",
+        }),
+        ("lemma-r48-scaling", _r8_table_of_identity, {
+            "args": {"k": 8, "p": 3, "n": 1},
+            "observed": {"r8_pn": "3", "r8_n": "1"},
+            "expected": "r8(pn) == r8(n) (mod p^3)",
+        }),
+    ],
+    ids=["rk-route-lattice", "rk-route-r8-formula", "lemma-r3-four-invariance", "lemma-r48-r8"],
+)
+def test_each_later_half_fails_alone(check_id, poisoned_bank, first, monkeypatch):
+    (rep,), _ = run_checks([check_id], POISON_BUDGET, bank=poisoned_bank(monkeypatch))
+    assert rep.status == "fail"
+    assert rep.counterexamples[0] == first
 
 
 # v40 is 0 at every instance, so a poisoned mod-8 or mod-5 series fails conj-40
