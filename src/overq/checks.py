@@ -10,7 +10,9 @@ argument.  It decides the 40n+35 grids of conj-40 and cor-5-4alpha too.
 Three sweep shapes each serve two checks, take only the numbers of their
 statements and derive the rest: _signed_progression (thm-main, thm-mod9),
 _prime_power_family (fam-5p-high, fam-3p-high) and _recursion_against_series
-(the two recursion lemmas).  The other checkers keep their own loops.
+(the two recursion lemmas).  _vanishing expects a series to vanish on the grid
+points of fam-5power, fam-5p3's direct half, cor-5-4alpha's part 1 and
+lemma-r3-four's vanishing half; the other checkers keep their own loops.
 """
 
 from __future__ import annotations
@@ -147,6 +149,16 @@ def _qualifying_40n35(max_argument: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def _vanishing(t: CheckReport, coeffs, key: str, relation: str, points) -> None:
+    """Expect coeffs[argument] == 0, a residue of 0 for a modular series, at each
+    (args, argument) point; a failure records args with its argument.
+    """
+    for args, arg in points:
+        t.tested += 1
+        if v := coeffs[arg]:
+            t.record({**args, "argument": arg}, {key: v}, relation)
+
+
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
@@ -263,19 +275,13 @@ def _check_id_4n3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
 )
 def _check_fam_5power(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
-    gf5 = bank.overpartition(5) if M >= 125 else None
+    gf5 = bank.overpartition(5).coeffs if M >= 125 else None
     for alpha in range(1, budget.max_alpha + 1):
         base = 5 ** (2 * alpha + 1)
         for r in (1, 4):
-            for n in _grid(t, M, 5 * base, base * r, start=0, alpha=alpha, residue=r):
-                arg = base * (5 * n + r)
-                v = gf5.coeffs[arg]
-                t.expect(
-                    v == 0,
-                    {"alpha": alpha, "residue": r, "n": n, "argument": arg},
-                    {"pbar_mod_5": v},
-                    "pbar(5^(2a+1)(5n+r)) == 0 (mod 5)",
-                )
+            grid = _grid(t, M, 5 * base, base * r, start=0, alpha=alpha, residue=r)
+            points = (({"alpha": alpha, "residue": r, "n": n}, base * (5 * n + r)) for n in grid)
+            _vanishing(t, gf5, "pbar_mod_5", "pbar(5^(2a+1)(5n+r)) == 0 (mod 5)", points)
     return {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha}, (125, M)
 
 
@@ -296,17 +302,12 @@ def _check_fam_5p3(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
         t.skip_reason = "no primes == 4 (mod 5) within max_prime"
         return parameters, (0, 0)
     r3 = bank.rk(3, None).coeffs
-    gf5 = bank.overpartition(5)
+    gf5 = bank.overpartition(5).coeffs
     for p in ps:
         step = 5 * p**3
-        for n in _grid(t, M, step, without=p, p=p, family="direct"):
-            v = gf5.coeffs[step * n]
-            t.expect(
-                v == 0,
-                {"p": p, "n": n, "argument": step * n},
-                {"pbar_mod_5": v},
-                "pbar(5 p^3 n) == 0 (mod 5)",
-            )
+        direct = _grid(t, M, step, without=p, p=p, family="direct")
+        points = (({"p": p, "n": n}, step * n) for n in direct)
+        _vanishing(t, gf5, "pbar_mod_5", "pbar(5 p^3 n) == 0 (mod 5)", points)
         for n0 in _grid(None, M, p, without=p):
             val = r3_recursion(p, 1, p * n0, r3)
             t.expect(
@@ -389,26 +390,17 @@ _check(
 def _check_cor_5_4alpha(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     M = budget.max_argument
     gf5 = bank.overpartition(5)
-    for alpha, n, arg in _qualifying_40n35(M):
-        v = gf5.coeffs[arg]
-        t.expect(
-            v == 0,
-            {"part": 1, "alpha": alpha, "n": n, "argument": arg},
-            {"pbar_mod_5": v},
-            "pbar(4^a (40n+35)) == 0 (mod 5)",
-        )
-    signed = gf5.extract_progression(5, 0).alternate_signs().coeffs
+    points = (({"part": 1, "alpha": a, "n": n}, arg) for a, n, arg in _qualifying_40n35(M))
+    _vanishing(t, gf5.coeffs, "pbar_mod_5", "pbar(4^a (40n+35)) == 0 (mod 5)", points)
+    signed = gf5.extract_progression(5, 0).alternate_signs()
     for alpha in range(budget.max_alpha + 1):
-        step = 5 * 4 ** (alpha + 1)
-        for n in _grid(None, M, step, start=0):
-            left = gf5.coeffs[step * n]
-            right = signed[n]
-            t.expect(
-                left == right,
-                {"part": 2, "alpha": alpha, "n": n},
-                {"pbar_5_4a1_n_mod_5": left, "signed_pbar_5n_mod_5": right},
-                "pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
-            )
+        t.series(
+            gf5.extract_progression(5 * 4 ** (alpha + 1), 0),
+            signed,
+            "pbar(5 * 4^(a+1) n) == (-1)^n pbar(5n) (mod 5)",
+            ("pbar_5_4a1_n_mod_5", "signed_pbar_5n_mod_5"),
+            lambda n: {"part": 2, "alpha": alpha, "n": n},
+        )
     return {"modulus": 5, "max_argument": M, "max_alpha": budget.max_alpha}, (0, M)
 
 
@@ -546,14 +538,9 @@ def _check_r3_four(budget: Budget, bank: SeriesBank, t: CheckReport) -> Sweep:
     r3x = bank.rk(3, None)
     for alpha in range(budget.max_alpha + 1):
         base = 4**alpha
-        for n in _grid(t, M, 8 * base, 7 * base, start=0, alpha=alpha, family="vanishing"):
-            arg = base * (8 * n + 7)
-            t.expect(
-                r3x.coeffs[arg] == 0,
-                {"alpha": alpha, "n": n, "argument": arg},
-                {"r3": r3x.coeffs[arg]},
-                "r3(4^a (8n+7)) == 0",
-            )
+        grid = _grid(t, M, 8 * base, 7 * base, start=0, alpha=alpha, family="vanishing")
+        points = (({"alpha": alpha, "n": n}, base * (8 * n + 7)) for n in grid)
+        _vanishing(t, r3x.coeffs, "r3", "r3(4^a (8n+7)) == 0", points)
         if alpha == 0:
             continue
         for n in _grid(t, M, base, alpha=alpha, family="invariance"):

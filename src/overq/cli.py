@@ -36,14 +36,13 @@ _SPOT_CHECK_COUNT = 16
 
 # The largest value each size flag accepts, by argparse dest.  max_arg, terms
 # and n set a series order.  At 10^5 the slowest command, `expand hs43-rhs`,
-# takes about 42 s on a 2-core VM with Python 3.11 (with --mod, which builds in
-# the residue ring, about half: 2.1 s exact against 1.2 s mod 8 at 2·10^4), and
-# `verify --all` about 10 s; larger values would run on for many minutes
-# instead of failing fast.
+# takes 21–23 s on a 2-core VM with Python 3.11 (6.5 s with --mod 8, which
+# builds in the residue ring), and `verify --all` 6–7 s; larger values would
+# run on for many minutes instead of failing fast.
 # max_prime and max_alpha size the prime-power grids, and with them the
 # minimal arguments p^e of skipped points, which str() refuses past 4,300
 # digits: at both caps the longest has 1,131 digits, and
-# `verify --all --max-arg 100000` takes about 21 s.  Series products check
+# `verify --all --max-arg 100000` takes about 15 s.  Series products check
 # their decimal slot width against the same limit; at 10^5 the widest slot
 # has 13 digits.
 # mod sets the slot width of a residue product, about twice its digits, and a

@@ -177,10 +177,52 @@ MUTANTS = [
         "if v := 0:",
     ),
     Mutant(
-        "fam-5p3-direct-half-always-holds",
+        "vanishing-always-holds",
         "src/overq/checks.py",
-        'v == 0,\n                {"p": p, "n": n, "argument": step * n},',
-        'True,\n                {"p": p, "n": n, "argument": step * n},',
+        "if v := coeffs[arg]:",
+        "if v := 0:",
+    ),
+    Mutant(
+        "vanishing-record-drops-argument",
+        "src/overq/checks.py",
+        't.record({**args, "argument": arg}, {key: v}, relation)',
+        "t.record(args, {key: v}, relation)",
+    ),
+    Mutant(
+        "vanishing-observed-key-fixed",
+        "src/overq/checks.py",
+        "{key: v}, relation)",
+        '{"pbar_mod_5": v}, relation)',
+    ),
+    Mutant(
+        "vanishing-records-a-fixed-value",
+        "src/overq/checks.py",
+        "{key: v}, relation)",
+        "{key: 1}, relation)",
+    ),
+    Mutant(
+        "fam-5power-grid-drops-last-point",
+        "src/overq/checks.py",
+        "_grid(t, M, 5 * base, base * r",
+        "_grid(t, M - 1, 5 * base, base * r",
+    ),
+    Mutant(
+        "cor-5-4alpha-part-2-step-drops-a-4",
+        "src/overq/checks.py",
+        "gf5.extract_progression(5 * 4 ** (alpha + 1), 0)",
+        "gf5.extract_progression(5 * 4 ** alpha, 0)",
+    ),
+    Mutant(
+        "signed-progression-ignores-its-modulus",
+        "src/overq/checks.py",
+        "    moduli = (m, subset) if subset else (m,)\n",
+        "    m = q * q if subset else q\n    moduli = (m, subset) if subset else (m,)\n",
+    ),
+    Mutant(
+        "family-exponent-ignores-its-offset",
+        "src/overq/checks.py",
+        "e = slope * alpha + offset\n",
+        "e = slope * alpha + slope - 1\n",
     ),
     Mutant(
         "family-series-modulus-smallest",
@@ -211,12 +253,6 @@ MUTANTS = [
         "src/overq/checks.py",
         '"pbar(5 p^3 n) == 0 (mod 5)",',
         '"pbar(5 p^3 n) == 0",',
-    ),
-    Mutant(
-        "fam-5p3-observed-key-drops-modulus",
-        "src/overq/checks.py",
-        '{"pbar_mod_5": v},\n                "pbar(5 p^3 n)',
-        '{"pbar": v},\n                "pbar(5 p^3 n)',
     ),
     Mutant(
         "rk-route-lattice-point-drops-k",

@@ -126,14 +126,20 @@ def test_conj40_crt_consistency(bank):
     assert rep.parameters["alpha_max"] == 2  # 16 * 35 = 560 <= 700 < 4^3 * 35
 
 
+def _divide_out(arg, q):
+    """(e, m) with arg = q^e m and q not dividing m."""
+    e = 0
+    while arg % q == 0:
+        arg, e = arg // q, e + 1
+    return e, arg
+
+
 def _instances_40n35_naive(limit):
     """(alpha, n, argument) for every argument 4^alpha (40n+35) <= limit, found by
     dividing out 4 from each integer, alpha first."""
     out = []
     for arg in range(1, limit + 1):
-        alpha, odd = 0, arg
-        while odd % 4 == 0:
-            alpha, odd = alpha + 1, odd // 4
+        alpha, odd = _divide_out(arg, 4)
         if odd % 40 == 35:
             out.append((alpha, (odd - 35) // 40, arg))
     return sorted(out)
@@ -146,6 +152,77 @@ def test_qualifying_40n35_against_brute_force():
     every = _instances_40n35_naive(edges[-1])
     for M in [*range(700), *edges, *(e - 1 for e in edges)]:
         assert checks._qualifying_40n35(M) == [x for x in every if x[2] <= M], M
+
+
+def _is_prime_naive(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+# The arguments up to M at which each statement says a series vanishes, found by
+# dividing the power of 5, p or 4 out of each integer.
+_VANISHING_ARGUMENTS = {
+    # pbar(5^(2a+1)(5n+r)), r in {1, 4}, 1 <= a <= max_alpha: 5n+r is prime to 5
+    "fam-5power": lambda b: [
+        arg for arg in range(1, b.max_argument + 1)
+        for e, rest in [_divide_out(arg, 5)]
+        if e in range(3, 2 * b.max_alpha + 2, 2) and rest % 5 in (1, 4)
+    ],
+    # pbar(5 p^3 n) for primes p == 4 (mod 5) up to max_prime, p not dividing n
+    "fam-5p3": lambda b: [
+        arg for p in range(b.max_prime + 1) if _is_prime_naive(p) and p % 5 == 4
+        for arg in range(1, b.max_argument + 1)
+        if arg % 5 == 0 and _divide_out(arg, p)[0] == 3
+    ],
+    # part 1: pbar(4^a (40n+35)) for every a
+    "cor-5-4alpha": lambda b: [arg for _, _, arg in _instances_40n35_naive(b.max_argument)],
+    # r3(4^a (8n+7)), 0 <= a <= max_alpha: 8n+7 is odd
+    "lemma-r3-four": lambda b: [
+        arg for arg in range(1, b.max_argument + 1)
+        for e, rest in [_divide_out(arg, 4)]
+        if e <= b.max_alpha and rest % 8 == 7
+    ],
+}
+
+
+def _zero_bank(budget):
+    """A bank whose overpartition mod 5 and exact r3 series are all zeros: cheap
+    at any budget, for tests of where a check reads rather than what it finds."""
+    bank, M = SeriesBank(budget), budget.max_argument
+    bank._cache[("gf", 5, M)] = TruncatedSeries.make(mod_ring(5), [0] * (M + 1))
+    bank._cache[("rk", 3, None, M)] = TruncatedSeries.make(EXACT, [0] * (M + 1))
+    return bank
+
+
+# Each budget holds a last grid point exactly at max_argument: 125 * 24 and
+# 5^5 (fam-5power), 5 * 19^3 (fam-5p3), 4^3 * 35 (cor-5-4alpha), 4 * 175
+# (lemma-r3-four); one below each loses it.
+@pytest.mark.parametrize(
+    "check_id, budget",
+    [
+        (cid, Budget(M + below, max_prime, 3))
+        for cid, M, max_prime in [
+            ("fam-5power", 3000, 23),
+            ("fam-5power", 3125, 23),
+            ("fam-5p3", 34295, 29),
+            ("cor-5-4alpha", 2240, 23),
+            ("lemma-r3-four", 700, 23),
+        ]
+        for below in (0, -1)
+    ],
+    ids=lambda v: str(v.max_argument) if isinstance(v, Budget) else v,
+)
+def test_vanishing_grids_against_their_statements(check_id, budget, monkeypatch):
+    seen, real = [], checks._vanishing
+
+    def recording(t, coeffs, key, relation, points):
+        points = list(points)
+        seen.extend(arg for _, arg in points)
+        real(t, coeffs, key, relation, points)
+
+    monkeypatch.setattr(checks, "_vanishing", recording)
+    (rep,), _ = run_checks([check_id], budget, bank=_zero_bank(budget))
+    assert rep.status == "pass"
+    assert sorted(seen) == sorted(_VANISHING_ARGUMENTS[check_id](budget))
 
 
 def test_mod8_criterion_and_exemptions(bank):
